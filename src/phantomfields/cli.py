@@ -25,6 +25,7 @@ from . import diagnostics, phantom
 from .covariance import GammaPair, example_covariance
 from .lattice import curve_from_config
 from .sampling import (
+    FactorizationError,
     GaussianSeparableField,
     IIDField,
     MovingMaxField,
@@ -409,7 +410,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config, defaults, args)
         return fn(cfg, args.out)
-    except (ConfigError, ValueError) as e:
+    except (ConfigError, ValueError, FactorizationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -17,12 +17,17 @@ from typing import Callable
 
 import numpy as np
 from scipy import integrate
-from scipy.special import log_ndtr, ndtr
-from scipy.stats import norm
+from scipy.special import log_ndtr, ndtr, ndtri
 
 from .lattice import MonotoneCurve
 
 GH_NODES = 200
+_SQRT_2PI = np.sqrt(2.0 * np.pi)
+
+
+def _normal_pdf(z):
+    # the expression scipy.stats.norm.pdf evaluates, without importing scipy.stats
+    return np.exp(-np.square(z) / 2.0) / _SQRT_2PI
 
 
 class InconsistentIndexError(ValueError):
@@ -68,7 +73,7 @@ class PhantomCandidate:
 
 
 def normal_candidate() -> PhantomCandidate:
-    return PhantomCandidate(cdf=ndtr, log_cdf=log_ndtr, ppf=norm.ppf, name="Phi")
+    return PhantomCandidate(cdf=ndtr, log_cdf=log_ndtr, ppf=ndtri, name="Phi")
 
 
 def uniform_candidate() -> PhantomCandidate:
@@ -381,7 +386,7 @@ def levels_u(c: float, n: int) -> float:
     """
     if not 0.0 < c < n * n:
         raise ValueError(f"need 0 < c < n^2 = {n * n}")
-    return float(norm.isf(c / (n * n)))
+    return float(-ndtri(c / (n * n)))
 
 
 def normalizers(n) -> tuple[float, float]:
@@ -426,7 +431,7 @@ def limit_H(x, kappa: float, nodes: int = GH_NODES, method: str = "gauss-hermite
             [
                 integrate.quad(
                     lambda z: math.exp(-math.exp(min(-xi - kappa + math.sqrt(2 * kappa) * z, 700.0)))
-                    * norm.pdf(z),
+                    * _normal_pdf(z),
                     -np.inf,
                     np.inf,
                     epsabs=1e-12,
@@ -467,7 +472,7 @@ def equicorrelated_max_cdf(
             [
                 integrate.quad(
                     lambda z: math.exp(N * log_ndtr((wi - math.sqrt(rho) * z) / math.sqrt(1 - rho)))
-                    * norm.pdf(z),
+                    * _normal_pdf(z),
                     -np.inf,
                     np.inf,
                     epsabs=1e-12,

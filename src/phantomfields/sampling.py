@@ -8,12 +8,13 @@ bit-identical output.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf
-from scipy.special import log_ndtr, ndtr
+from scipy.linalg.blas import dtrmm
+from scipy.special import log_ndtr, ndtr, ndtri
 
 from . import kernels
 from .covariance import CharacteristicPolygon, SeparableCovariance
@@ -223,9 +224,7 @@ class _NormalMarginal:
         return log_ndtr(x)
 
     def ppf(self, q):
-        from scipy.stats import norm
-
-        return norm.ppf(q)
+        return ndtri(q)
 
     def rvs(self, size=None, random_state=None):
         rng = random_state if random_state is not None else np.random.default_rng()
@@ -233,16 +232,41 @@ class _NormalMarginal:
 
 
 def toeplitz_cholesky(poly: CharacteristicPolygon, n: int, axis: int = 0) -> np.ndarray:
-    """Lower Cholesky factor of T[a, b] = poly(a - b), cached per length."""
+    """Lower Cholesky factor of T[a, b] = poly(a - b), cached per length.
+
+    Schur algorithm, O(n^2): with Z the down-shift, T - Z T Z^T = x x^T - y y^T
+    for the generator rows x = y = c / sqrt(c[0]) but y[0] = 0. Row k of L^T
+    is the current x; the next is x shifted by one and hyperbolically rotated
+    against y so that y's next entry vanishes. The rotation uses the mixed
+    form of Bojanczyk, Brent, de Hoog & Sweet (SIAM J. Matrix Anal. Appl.
+    1995), whose residual is of the order of Cholesky's. |rho| >= 1 at step k
+    means the leading minor of order k + 2 is not positive, the index LAPACK's
+    potrf reports. L is the transpose of the C-ordered L^T, so it is
+    Fortran-ordered, as the BLAS calls of the transform want it.
+    """
     cached = poly._chol_cache.get(n)
     if cached is not None:
         return cached
     c = np.asarray(poly(np.arange(n, dtype=np.float64)))
-    idx = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-    T = c[idx]
-    L, info = dpotrf(T, lower=1, clean=1, overwrite_a=1)
-    if info != 0:
-        raise FactorizationError(axis=axis, minor=int(info))
+    if not c[0] > 0.0:
+        raise FactorizationError(axis=axis, minor=1)
+    Lt = np.zeros((n, n))
+    Lt[0] = c / math.sqrt(c[0])
+    y = Lt[0].copy()
+    for k in range(n - 1):
+        # x is row k of L^T; the shift aligns x[k:-1] with y[k+1:], and the
+        # rotated x is written straight into row k + 1
+        x, x_next, ys = Lt[k, k:-1], Lt[k + 1, k + 1 :], y[k + 1 :]
+        rho = ys[0] / x[0]
+        if not abs(rho) < 1.0:
+            raise FactorizationError(axis=axis, minor=k + 2)
+        s = math.sqrt((1.0 - rho) * (1.0 + rho))
+        np.multiply(ys, rho, out=x_next)
+        np.subtract(x, x_next, out=x_next)
+        x_next /= s
+        ys *= s
+        ys -= rho * x_next
+    L = Lt.T
     poly._chol_cache[n] = L
     return L
 
@@ -254,6 +278,12 @@ class GaussianSeparableField(FieldModel):
     through the per-axis Toeplitz Cholesky factors (valid because the
     covariance is a tensor product of the axis sequences). Exact in law;
     factors are cached per (polygon, length).
+
+    Draws of a chunk of R replications share one array laid out
+    (n0, R, n1, ..., n_{d-1}): replication r is ``x[:, r]``. With the
+    replication axis next to axis 0, the products with the first and the
+    last factor are each one in-place triangular BLAS product on a
+    contiguous 2-D view, so a factor is read once per chunk.
     """
 
     name = "gaussian_separable"
@@ -271,36 +301,42 @@ class GaussianSeparableField(FieldModel):
     def factors(self, dims) -> list[np.ndarray]:
         if len(dims) != self.cov.d:
             raise ValueError(f"dims must have {self.cov.d} coordinates")
+        if any(n < 1 for n in dims):
+            raise ValueError(f"dims must be >= 1 componentwise, got {tuple(dims)}")
         return [
             toeplitz_cholesky(ax, n, axis=i)
             for i, (ax, n) in enumerate(zip(self.cov.axes, dims))
         ]
 
     @staticmethod
-    def _transform(z, factors):
-        # mode-i product with each axis factor in turn; z may carry a
-        # leading batch axis
-        x = z
-        d = len(factors)
-        off = x.ndim - d
-        for i, L in enumerate(factors):
-            x = np.moveaxis(x, off + i, -1)
-            x = x @ L.T
-            x = np.moveaxis(x, -1, off + i)
+    def _transform(x, factors):
+        """Mode-i product of x (laid out (n0, R, n1, ...)) with each factor, in place."""
+        n0 = x.shape[0]
+        # a C-ordered (rows, cols) view is the Fortran-ordered transpose, so
+        # L @ V is computed as V^T <- V^T L^T and V @ L^T as V^T <- L V^T
+        dtrmm(1.0, factors[0], x.reshape(n0, -1).T, side=1, lower=1, trans_a=1, overwrite_b=1)
+        for i, L in enumerate(factors[1:-1], start=1):
+            v = x.reshape(-1, L.shape[0], math.prod(x.shape[i + 2 :]))
+            v[...] = np.matmul(L, v)
+        if len(factors) > 1:
+            L = factors[-1]
+            dtrmm(1.0, L, x.reshape(-1, L.shape[0]).T, lower=1, overwrite_b=1)
         return x
 
-    def sample_values(self, dims, rng):
+    def _draw(self, dims, rngs):
+        """Draws of the replications with substreams ``rngs``, laid out (n0, R, n1, ...)."""
         factors = self.factors(dims)
-        z = rng.standard_normal(dims)
-        return self._transform(z, factors)
+        x = np.empty((dims[0], len(rngs)) + dims[1:])
+        for r, rng in enumerate(rngs):
+            x[:, r] = rng.standard_normal(dims)
+        return self._transform(x, factors)
+
+    def sample_values(self, dims, rng):
+        return self._draw(tuple(dims), [rng])[:, 0]
 
     def _chunk_maxes(self, dims, seed, lo, hi):
-        factors = self.factors(dims)
-        z = np.empty((hi - lo,) + tuple(dims))
-        for r in range(lo, hi):
-            z[r - lo] = replication_rng(seed, r).standard_normal(dims)
-        x = self._transform(z, factors)
-        return x.max(axis=tuple(range(1, x.ndim)))
+        x = self._draw(dims, [replication_rng(seed, r) for r in range(lo, hi)])
+        return x.max(axis=(0,) + tuple(range(2, x.ndim)))
 
 
 def sample_gaussian_separable(c: SeparableCovariance, dims, seed: int) -> FieldSample:

@@ -158,6 +158,24 @@ class TestInputErrors:
         cfg = write_cfg(tmp_path, {"model": {"kind": "perpetuum"}})
         assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
+    def test_factorization_error_is_one_line(self, tmp_path, capsys, monkeypatch):
+        from phantomfields import sampling
+
+        def not_positive_definite(poly, n, axis=0):
+            raise sampling.FactorizationError(axis=axis, minor=2)
+
+        monkeypatch.setattr(sampling, "toeplitz_cholesky", not_positive_definite)
+        cfg = write_cfg(tmp_path, {"dims": [4, 6], "seed": 1})
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: axis 0 ")
+        assert err.count("\n") == 1
+
+    def test_empty_dims(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {"dims": [0, 4]})
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "dims must be >= 1" in capsys.readouterr().err
+
     def test_version_embedded(self, tmp_path):
         run(["extremal-index", "--out", str(tmp_path / "o")])
         import phantomfields

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -389,3 +392,13 @@ class TestDirectionalSignal:
         a, b = normalizers(N)
         q = equicorrelated_max_cdf(N, kappa / math.log(N), b)
         assert abs(q - limit_H(0.0, kappa)) < abs(q - gumbel_H0(0.0))
+
+
+def test_import_leaves_out_scipy_stats():
+    import phantomfields
+
+    src = os.path.dirname(os.path.dirname(phantomfields.__file__))
+    code = "import sys, phantomfields; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

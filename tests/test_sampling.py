@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpotrf
 from scipy.special import ndtr
 from scipy.stats import ks_2samp, uniform
 
@@ -21,8 +22,14 @@ from phantomfields import (
     sample_equicorrelated_max,
     sample_gaussian_separable,
 )
-from phantomfields.covariance import SeparableCovariance
-from phantomfields.sampling import dump_csv
+from phantomfields.covariance import SeparableCovariance, from_config
+from phantomfields.sampling import dump_csv, toeplitz_cholesky
+
+
+def toeplitz_target(poly, n):
+    c = np.asarray(poly(np.arange(n, dtype=np.float64)))
+    idx = np.arange(n)
+    return c[np.abs(np.subtract.outer(idx, idx))]
 
 
 @pytest.fixture(scope="module")
@@ -47,17 +54,17 @@ class TestGaussianSampler:
         # the (2, 1) rectangle holds a pair with correlation eta1(1)
         reps = 100_000
         rng = np.random.default_rng(5)
-        z = rng.standard_normal((reps, 2, 1))
+        z = rng.standard_normal((2, reps, 1))
         x = gauss._transform(z, gauss.factors((2, 1)))
-        pair = x[:, :, 0]
+        pair = x[:, :, 0].T
         corr = np.corrcoef(pair[:, 0], pair[:, 1])[0, 1]
         assert abs(corr - covariance_at(cov, (1, 0))) < 0.01
 
     def test_pairwise_covariances_3x3(self, gauss, cov):
         reps = 100_000
         rng = np.random.default_rng(42)
-        z = rng.standard_normal((reps, 3, 3))
-        x = gauss._transform(z, gauss.factors((3, 3))).reshape(reps, 9)
+        z = rng.standard_normal((3, reps, 3))
+        x = gauss._transform(z, gauss.factors((3, 3))).transpose(1, 0, 2).reshape(reps, 9)
         emp = (x.T @ x) / reps
         cells = [(i, j) for i in range(3) for j in range(3)]
         for a, (i1, j1) in enumerate(cells):
@@ -78,6 +85,16 @@ class TestGaussianSampler:
         m4 = gauss.block_maxes((10, 10), 100, seed=3, workers=4, chunk=16)
         assert np.array_equal(m1, m4)
 
+    def test_chunk_invariance_long_axis(self, gauss):
+        dims, reps = (300, 4), 100
+        ref = gauss.block_maxes(dims, reps, seed=3, workers=1, chunk=16)
+        for chunk in (16, 256):
+            for workers in (1, 2):
+                m = gauss.block_maxes(dims, reps, seed=3, workers=workers, chunk=chunk)
+                assert np.array_equal(m, ref)
+        single = [gauss.sample_values(dims, replication_rng(3, r)).max() for r in range(reps)]
+        assert np.array_equal(np.array(single), ref)
+
     def test_degenerate_polygon_rejected(self):
         flat = CharacteristicPolygon(
             knots_t=np.array([0.0, 1.0]), knots_v=np.array([1.0, 1.0])
@@ -87,6 +104,19 @@ class TestGaussianSampler:
             GaussianSeparableField(bad).sample((3, 3), seed=0)
         assert err.value.axis == 0
         assert err.value.minor == 2
+
+    def test_minor_matches_lapack(self):
+        # concave, so not a Polya polygon: T is positive definite up to order 2 only
+        bad = CharacteristicPolygon(
+            knots_t=np.array([0.0, 1.0, 2.0]), knots_v=np.array([1.0, 0.9, 0.5])
+        )
+        n = 6
+        _, info = dpotrf(toeplitz_target(bad, n), lower=1)
+        assert info > 2
+        with pytest.raises(FactorizationError) as err:
+            toeplitz_cholesky(bad, n, axis=1)
+        assert err.value.axis == 1
+        assert err.value.minor == info
 
     def test_stationarity_shifted_block(self, gauss):
         # M over [1..4]^2 vs the same block anchored at (3, 3), independent runs
@@ -98,6 +128,43 @@ class TestGaussianSampler:
             x = gauss.sample_values((6, 6), replication_rng(22, r))
             b[r] = x[2:6, 2:6].max()
         assert ks_2samp(a, b).pvalue > 1e-3
+
+
+class TestGaussianExactness:
+    """Deterministic checks of the factor and the chunk transform."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 28, 29, 587, 2019])
+    def test_schur_factor_matches_lapack(self, cov, n):
+        for poly in cov.axes:
+            L = toeplitz_cholesky(poly, n)
+            ref, info = dpotrf(toeplitz_target(poly, n), lower=1, clean=1)
+            assert info == 0
+            assert np.max(np.abs(L - ref)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "dims, model",
+        [
+            ((5, 4), "d2"),
+            ((1, 3), "d2"),
+            ((7, 1), "d2"),
+            ((300, 3), "d2"),
+            ((4, 3, 5), "d3"),
+        ],
+    )
+    def test_implied_covariance_is_target(self, cov, dims, model):
+        if model == "d3":
+            cov = from_config({"gamma1": 0.26, "gamma2": 0.10, "d": 3}, horizon=2000)
+        field = GaussianSeparableField(cov)
+        N = math.prod(dims)
+        # replication r carries the unit vector e_r, so column r of A is the
+        # field the transform makes of it and A A^T is the implied covariance
+        e = np.eye(N).reshape((N,) + dims)
+        x = np.ascontiguousarray(np.moveaxis(e, 0, 1))
+        A = np.moveaxis(field._transform(x, field.factors(dims)), 1, 0).reshape(N, N).T
+        target = np.ones((1, 1))
+        for poly, n in zip(cov.axes, dims):
+            target = np.kron(target, toeplitz_target(poly, n))
+        assert np.max(np.abs(A @ A.T - target)) <= 1e-12
 
 
 class TestMovingMax:
