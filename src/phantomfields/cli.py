@@ -42,6 +42,29 @@ def _sub_seed(seed: int, tag: int) -> int:
     return int(np.random.SeedSequence([seed, tag]).generate_state(1, np.uint64)[0])
 
 
+# fields whose null is meaningful: beta's level and extremal-index's expected_theta
+NULLABLE_FIELDS = {"level", "expected_theta"}
+
+
+def _type_error(value, default) -> str | None:
+    """Why ``value`` cannot replace ``default``, or None if it can.
+
+    A value keeps the JSON type of its default (an integer may stand for a
+    float); integers, alone or in a list, are counts or seeds, so >= 0.
+    """
+    count = lambda v: type(v) is int and v >= 0
+    if type(default) is int:
+        ok, kind = count(value), "a nonnegative integer"
+    elif type(default) is float:
+        ok, kind = type(value) in (int, float), "a number"
+    elif type(default) is list and default and type(default[0]) is int:
+        ok, kind = type(value) is list and all(map(count, value)), "a list of nonnegative integers"
+    else:
+        kinds = {bool: "true or false", str: "a string", list: "a list", dict: "an object"}
+        ok, kind = type(value) is type(default), kinds[type(default)]
+    return None if ok else f"must be {kind}"
+
+
 def _load_config(path: str | None, defaults: dict, args) -> dict:
     cfg = dict(defaults)
     if path:
@@ -54,15 +77,21 @@ def _load_config(path: str | None, defaults: dict, args) -> dict:
             raise ConfigError(f"malformed config {path}: line {e.lineno} column {e.colno}: {e.msg}")
         if not isinstance(user, dict):
             raise ConfigError(f"malformed config {path}: top level must be an object")
-        for key in user:
+        for key, value in user.items():
             if key not in defaults:
                 raise ConfigError(f"malformed config {path}: unknown field {key!r}")
+            why = None if value is None and key in NULLABLE_FIELDS else _type_error(value, defaults[key])
+            if why:
+                raise ConfigError(f"config field {key!r} {why}, got {json.dumps(value)}")
         cfg.update(user)
     for flag in ("seed", "reps", "workers"):
         val = getattr(args, flag, None)
         if val is not None:
             if flag not in defaults:
                 raise ConfigError(f"flag --{flag} is not used by this command")
+            why = _type_error(val, defaults[flag])
+            if why:
+                raise ConfigError(f"flag --{flag} {why}, got {val}")
             cfg[flag] = val
     return cfg
 
@@ -149,16 +178,11 @@ def cmd_sectorial_test(cfg: dict, out: str) -> int:
         )
         rep = phantom.phantom_distance(law, phi, n * n)
         u = phantom.levels_u(cfg["c"], n)
-        p_hat = float(np.asarray(law.cdf(u)))
-        target = float(phi.power(u, n * n))
-        gap = abs(p_hat - target)
-        se_u = math.sqrt(max(p_hat * (1 - p_hat), 1.0 / cfg["reps"]) / cfg["reps"])
-        bound = diagnostics.berman_bound(model.cov, n, u).total
-        ok = gap <= bound + 3.0 * se_u
+        g = diagnostics.bound_vs_maxima(model.cov, law.values, n, u)
         dists.append(rep.value)
         ses.append(rep.se)
-        berman_ok.append(ok)
-        rows.append((n, n, n, rep.value, rep.se, rep.x, u, p_hat, target, gap, bound, ok))
+        berman_ok.append(g.verdict)
+        rows.append((n, n, n, rep.value, rep.se, rep.x, u, g.p_hat, g.target, g.gap, g.bound, g.verdict))
     mono = all(dists[i + 1] <= dists[i] + 2.0 * ses[i + 1] for i in range(len(dists) - 1))
     verdicts = {
         "distance_nonincreasing_within_2se": bool(mono),
@@ -294,11 +318,10 @@ def cmd_beta(cfg: dict, out: str) -> int:
         )
         verdicts["growth_inequality"] = bool(rep.value <= k ** curve.d * rep2.value + 1e-12)
     rows = [(n, k, rep.value, rep.mode, rep.grid_size, rep.level, rep.se if rep.se is not None else "")]
-    summary_cfg = dict(cfg)
     _write_outputs(
         out,
         "beta",
-        summary_cfg,
+        cfg,
         ["n", "k", "beta", "mode", "grid", "level", "se"],
         rows,
         verdicts,

@@ -12,7 +12,9 @@ Two concrete families are provided; both are polygons through
     eta2:  (0,1), (1, g2*(2/ln 2 - 1/ln 3)),     (3, g2/ln 3),   (4, g2/ln 4), ...
 
 with L(k) = ln(ln k)/ln k. The knot-1 values sit on the extension of the
-first tail segment, which is what makes the whole polygon convex.
+first tail segment, which is what makes the whole polygon convex. A
+polygon stores only its head knots, up to one segment past the start of
+the tail; beyond them its closed-form tail rule gives the values.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-
-DEFAULT_HORIZON = 1_000_000
 
 
 class InfeasibleParameterError(ValueError):
@@ -39,11 +39,10 @@ def _loglog_ratio(k):
 class CharacteristicPolygon:
     """Piecewise-linear convex decreasing function on R+, reflected to R.
 
-    ``knots_t``/``knots_v`` hold the explicit knots up to the horizon;
-    ``tail`` (if set) gives exact values at integer abscissae beyond the
-    last stored knot, with linear interpolation in between. Without a
-    tail rule the last knot value is held constant (still convex,
-    nonincreasing and positive).
+    ``knots_t``/``knots_v`` hold the explicit knots; ``tail`` (if set)
+    gives exact values at integer abscissae beyond the last stored knot,
+    with linear interpolation in between. Without a tail rule the last
+    knot value is held constant (still convex, nonincreasing, positive).
     """
 
     knots_t: np.ndarray
@@ -111,10 +110,24 @@ def validate_polya(p: CharacteristicPolygon) -> tuple[bool, list[str]]:
     return len(diags) == 0, diags
 
 
-def _build_polygon(gamma, knot1_value, tail_start, tail_fn, horizon, name):
+def _build_polygon(gamma, knot1_value, tail_start, tail_fn, name):
+    """Polygon through (0, 1), (1, knot1_value) and (k, tail_fn(k)) for k >= tail_start.
+
+    Only the knots up to tail_start + 1 are stored, so ``validate_polya``
+    still checks where the head meets the tail. The chords of the tail are
+    a positive, nonincreasing, convex polygon because tail_fn is positive,
+    decreasing and convex on [tail_start, inf) for any gamma > 0 (gamma
+    only scales it):
+    - eta1, f = ln(s)/s with s = ln x: f' = (1 - ln s)/(x s^2) < 0 for
+      x > e^e, f > 0 for x > e, and f'' = (s ln s + 2 ln s - s - 3)/(x^2 s^3),
+      whose numerator increases with s (its derivative is ln s + 2/s) and
+      is 0.086 at x = 28.
+    - eta2, f = 1/ln x: f' = -1/(x ln^2 x) and f'' = (ln x + 2)/(x^2 ln^3 x),
+      so f is positive, decreasing and convex for x > 1.
+    """
     if not 0.0 < gamma < 1.0:
         raise InfeasibleParameterError(f"{name}: gamma must be in (0, 1), got {gamma}")
-    ks = np.arange(tail_start, horizon + 1, dtype=np.float64)
+    ks = np.array([tail_start, tail_start + 1], dtype=np.float64)
     knots_t = np.concatenate(([0.0, 1.0], ks))
     knots_v = np.concatenate(([1.0, knot1_value], tail_fn(ks)))
     poly = CharacteristicPolygon(knots_t=knots_t, knots_v=knots_v, tail=tail_fn, name=name)
@@ -124,18 +137,18 @@ def _build_polygon(gamma, knot1_value, tail_start, tail_fn, horizon, name):
     return poly
 
 
-def build_eta1(gamma1: float, horizon: int = DEFAULT_HORIZON) -> CharacteristicPolygon:
+def build_eta1(gamma1: float) -> CharacteristicPolygon:
     """First axis polygon: value gamma1*ln(ln k)/ln k at every integer k >= 28."""
     knot1 = gamma1 * (27.0 * _loglog_ratio(27.0) - 26.0 * _loglog_ratio(28.0))
     tail = lambda k: gamma1 * _loglog_ratio(k)
-    return _build_polygon(gamma1, knot1, 28, tail, horizon, "eta1")
+    return _build_polygon(gamma1, knot1, 28, tail, "eta1")
 
 
-def build_eta2(gamma2: float, horizon: int = DEFAULT_HORIZON) -> CharacteristicPolygon:
+def build_eta2(gamma2: float) -> CharacteristicPolygon:
     """Second axis polygon: value gamma2/ln k at every integer k >= 3."""
     knot1 = gamma2 * (2.0 / np.log(2.0) - 1.0 / np.log(3.0))
     tail = lambda k: gamma2 / np.log(np.asarray(k, dtype=np.float64))
-    return _build_polygon(gamma2, knot1, 3, tail, horizon, "eta2")
+    return _build_polygon(gamma2, knot1, 3, tail, "eta2")
 
 
 @dataclass(frozen=True)
@@ -220,9 +233,7 @@ def delta_sup(c: SeparableCovariance, search_radius: int = 5) -> DeltaReport:
     return DeltaReport(value=value, argmax=tuple(int(a) for a in argmax), bound=bound, below_bound=below)
 
 
-def example_covariance(
-    gammas: GammaPair = DEFAULT_GAMMAS, horizon: int = DEFAULT_HORIZON
-) -> SeparableCovariance:
+def example_covariance(gammas: GammaPair = DEFAULT_GAMMAS) -> SeparableCovariance:
     """The built-in 2-d model r_ij = eta1(i) * eta2(j).
 
     This is the library's canonical separable Gaussian model: it admits
@@ -232,7 +243,7 @@ def example_covariance(
     if not validate_gammas(gammas):
         raise InfeasibleParameterError(f"gamma pair {gammas} fails the feasibility chain")
     return SeparableCovariance(
-        axes=(build_eta1(gammas.gamma1, horizon), build_eta2(gammas.gamma2, horizon)),
+        axes=(build_eta1(gammas.gamma1), build_eta2(gammas.gamma2)),
         gammas=gammas,
     )
 
@@ -247,7 +258,7 @@ def to_config(c: SeparableCovariance) -> dict:
     return cfg
 
 
-def from_config(cfg: dict | str, horizon: int = DEFAULT_HORIZON) -> SeparableCovariance:
+def from_config(cfg: dict | str) -> SeparableCovariance:
     """Build a covariance from a JSON document / dict.
 
     Schema: {"gamma1": number, "gamma2": number, "d": integer} with
@@ -272,11 +283,9 @@ def from_config(cfg: dict | str, horizon: int = DEFAULT_HORIZON) -> SeparableCov
         return SeparableCovariance(axes=tuple(axes))
     gammas = GammaPair(float(cfg["gamma1"]), float(cfg["gamma2"]))
     if d == 2:
-        return example_covariance(gammas, horizon)
+        return example_covariance(gammas)
     if not validate_gammas(gammas):
         raise InfeasibleParameterError(f"gamma pair {gammas} fails the feasibility chain")
     builders = [build_eta1, build_eta2]
-    axes = tuple(
-        builders[i % 2]((gammas.gamma1, gammas.gamma2)[i % 2], horizon) for i in range(d)
-    )
+    axes = tuple(builders[i % 2]((gammas.gamma1, gammas.gamma2)[i % 2]) for i in range(d))
     return SeparableCovariance(axes=axes, gammas=gammas)

@@ -1,35 +1,13 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
-
-The backend is chosen once at import time: numba is used when it is
-importable and the environment variable ``PHANTOMFIELDS_DISABLE_NUMBA``
-is unset (or "0"). Both implementations are exported so tests and the
-benchmark script can compare them directly.
-"""
+"""Hot numeric kernels: sliding-window maxima and the enumeration oracle, in numpy."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-_DISABLE = os.environ.get("PHANTOMFIELDS_DISABLE_NUMBA", "0").lower() in (
-    "1",
-    "true",
-    "yes",
-)
-USE_NUMBA = HAVE_NUMBA and not _DISABLE
 
 
 def backend() -> str:
-    """Name of the active kernel backend ("numba" or "numpy")."""
-    return "numba" if USE_NUMBA else "numpy"
+    """Name of the kernel backend (always "numpy")."""
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +18,7 @@ def backend() -> str:
 # ---------------------------------------------------------------------------
 
 
-def sliding_max_last_numpy(a: np.ndarray, w: int) -> np.ndarray:
+def sliding_max_last(a: np.ndarray, w: int) -> np.ndarray:
     """Max over each length-w window along the last axis (w >= 1)."""
     if w == 1:
         return a.copy()
@@ -49,39 +27,6 @@ def sliding_max_last_numpy(a: np.ndarray, w: int) -> np.ndarray:
     for off in range(1, w):
         np.maximum(out, a[..., off : off + n], out=out)
     return out
-
-
-def _sliding_max_rows(a2d, w, out):
-    rows, n = out.shape
-    for i in range(rows):
-        for j in range(n):
-            m = a2d[i, j]
-            for off in range(1, w):
-                v = a2d[i, j + off]
-                if v > m:
-                    m = v
-            out[i, j] = m
-    return out
-
-
-if HAVE_NUMBA:
-    _sliding_max_rows_jit = njit(cache=True, nogil=True)(_sliding_max_rows)
-
-
-def sliding_max_last_numba(a: np.ndarray, w: int) -> np.ndarray:
-    if w == 1:
-        return a.copy()
-    n = a.shape[-1] - w + 1
-    a2d = np.ascontiguousarray(a).reshape(-1, a.shape[-1])
-    out = np.empty((a2d.shape[0], n), dtype=a.dtype)
-    _sliding_max_rows_jit(a2d, w, out)
-    return out.reshape(a.shape[:-1] + (n,))
-
-
-def sliding_max_last(a: np.ndarray, w: int) -> np.ndarray:
-    if USE_NUMBA:
-        return sliding_max_last_numba(a, w)
-    return sliding_max_last_numpy(a, w)
 
 
 def window_max(a: np.ndarray, window) -> np.ndarray:
@@ -118,7 +63,8 @@ def window_max(a: np.ndarray, window) -> np.ndarray:
 MAX_ENUM_SITES = 25
 
 
-def _enum_shapes(block, window):
+def enum_block_cdf_table(block, window, lo, hi, p_lo, level) -> np.ndarray:
+    """P(M_{(a,b)} <= level) for all sub-blocks of ``block``, by enumeration."""
     b1, b2 = block
     w1, w2 = window
     s1, s2 = b1 + w1 - 1, b2 + w2 - 1
@@ -129,11 +75,6 @@ def _enum_shapes(block, window):
             f"enumeration limited to {MAX_ENUM_SITES} innovation sites, "
             f"got {s1 * s2}"
         )
-    return b1, b2, w1, w2, s1, s2
-
-
-def enum_block_cdf_table_numpy(block, window, lo, hi, p_lo, level) -> np.ndarray:
-    b1, b2, w1, w2, s1, s2 = _enum_shapes(block, window)
     nsites = s1 * s2
     ncfg = 1 << nsites
     probs = np.zeros((b1, b2), dtype=np.float64)
@@ -156,57 +97,3 @@ def enum_block_cdf_table_numpy(block, window, lo, hi, p_lo, level) -> np.ndarray
         cfg_prob = plo_pow[nsites - nhi] * phi_pow[nhi]
         probs += np.einsum("c,cab->ab", cfg_prob, ok.astype(np.float64))
     return probs
-
-
-def _enum_block_cdf_table_loop(b1, b2, w1, w2, s1, s2, lo, hi, p_lo, level, probs):
-    nsites = s1 * s2
-    ncfg = 1 << nsites
-    z = np.empty((s1, s2))
-    m = np.empty((b1, b2))
-    for cfg in range(ncfg):
-        nhi = 0
-        for s in range(nsites):
-            if (cfg >> s) & 1:
-                z[s // s2, s % s2] = hi
-                nhi += 1
-            else:
-                z[s // s2, s % s2] = lo
-        p = p_lo ** (nsites - nhi) * (1.0 - p_lo) ** nhi
-        for a in range(b1):
-            for b in range(b2):
-                v = z[a, b]
-                for o1 in range(w1):
-                    for o2 in range(w2):
-                        if z[a + o1, b + o2] > v:
-                            v = z[a + o1, b + o2]
-                m[a, b] = v
-        for a in range(b1):
-            for b in range(b2):
-                v = m[a, b]
-                if a > 0 and m[a - 1, b] > v:
-                    v = m[a - 1, b]
-                if b > 0 and m[a, b - 1] > v:
-                    v = m[a, b - 1]
-                m[a, b] = v
-                if v <= level:
-                    probs[a, b] += p
-    return probs
-
-
-if HAVE_NUMBA:
-    _enum_block_cdf_table_jit = njit(cache=True, nogil=True)(_enum_block_cdf_table_loop)
-
-
-def enum_block_cdf_table_numba(block, window, lo, hi, p_lo, level) -> np.ndarray:
-    b1, b2, w1, w2, s1, s2 = _enum_shapes(block, window)
-    probs = np.zeros((b1, b2), dtype=np.float64)
-    return _enum_block_cdf_table_jit(
-        b1, b2, w1, w2, s1, s2, float(lo), float(hi), float(p_lo), float(level), probs
-    )
-
-
-def enum_block_cdf_table(block, window, lo, hi, p_lo, level) -> np.ndarray:
-    """P(M_{(a,b)} <= level) for all sub-blocks of ``block``, by enumeration."""
-    if USE_NUMBA:
-        return enum_block_cdf_table_numba(block, window, lo, hi, p_lo, level)
-    return enum_block_cdf_table_numpy(block, window, lo, hi, p_lo, level)

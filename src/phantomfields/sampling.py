@@ -99,19 +99,34 @@ class TwoAtomInnovations:
 # ---------------------------------------------------------------------------
 
 
+def _rectangle(dims) -> tuple[int, ...]:
+    dims = tuple(dims)
+    if any(n < 1 for n in dims):
+        raise ValueError(f"dims must be >= 1 componentwise, got {dims}")
+    return dims
+
+
 class FieldModel:
-    """Base: stationary model sampled on rectangles [1, n1] x ... x [1, nd]."""
+    """Base: stationary model sampled on rectangles [1, n1] x ... x [1, nd].
+
+    Draws go through ``sample_values`` or ``block_maxes``, which reject
+    empty rectangles before a model's ``_values`` or ``_chunk_maxes`` runs.
+    """
 
     name = "field"
 
     def sample_values(self, dims, rng) -> np.ndarray:
+        """One draw on the rectangle ``dims`` from the substream ``rng``."""
+        return self._values(_rectangle(dims), rng)
+
+    def _values(self, dims, rng) -> np.ndarray:
         raise NotImplementedError
 
     def marginal_cdf(self, x):
-        raise NotImplementedError
+        return self.marginal.cdf(x)
 
     def marginal_ppf(self, q):
-        raise NotImplementedError
+        return self.marginal.ppf(q)
 
     # exact block-max law, if the model has one (else None)
     def exact_block_max_cdf(self, dims, x):
@@ -122,20 +137,20 @@ class FieldModel:
         return None
 
     def sample(self, dims, seed: int, rep: int = 0) -> FieldSample:
-        values = self.sample_values(tuple(dims), replication_rng(seed, rep))
+        values = self.sample_values(dims, replication_rng(seed, rep))
         return FieldSample(dims=tuple(dims), values=values, seed=seed)
 
     def _chunk_maxes(self, dims, seed, lo, hi) -> np.ndarray:
         out = np.empty(hi - lo)
         for r in range(lo, hi):
-            out[r - lo] = self.sample_values(dims, replication_rng(seed, r)).max()
+            out[r - lo] = self._values(dims, replication_rng(seed, r)).max()
         return out
 
     def block_maxes(
         self, dims, reps: int, seed: int, workers: int = 1, chunk: int = DEFAULT_CHUNK
     ) -> np.ndarray:
         """reps independent draws of M_dims; identical for any worker count."""
-        dims = tuple(dims)
+        dims = _rectangle(dims)
         bounds = [(lo, min(lo + chunk, reps)) for lo in range(0, reps, chunk)]
         if workers <= 1 or len(bounds) == 1:
             parts = [self._chunk_maxes(dims, seed, lo, hi) for lo, hi in bounds]
@@ -155,14 +170,8 @@ class IIDField(FieldModel):
     def __init__(self, marginal):
         self.marginal = marginal
 
-    def sample_values(self, dims, rng):
+    def _values(self, dims, rng):
         return np.asarray(self.marginal.rvs(size=dims, random_state=rng), dtype=np.float64)
-
-    def marginal_cdf(self, x):
-        return self.marginal.cdf(x)
-
-    def marginal_ppf(self, q):
-        return self.marginal.ppf(q)
 
     def exact_block_max_cdf(self, dims, x):
         n_star = int(np.prod(dims))
@@ -192,7 +201,7 @@ class MovingMaxField(FieldModel):
     def dilated(self, dims) -> tuple[int, ...]:
         return tuple(n + w - 1 for n, w in zip(dims, self.window))
 
-    def sample_values(self, dims, rng):
+    def _values(self, dims, rng):
         z = np.asarray(
             self.innovations.rvs(size=self.dilated(dims), random_state=rng),
             dtype=np.float64,
@@ -292,17 +301,9 @@ class GaussianSeparableField(FieldModel):
         self.cov = cov
         self.marginal = _NormalMarginal()
 
-    def marginal_cdf(self, x):
-        return ndtr(x)
-
-    def marginal_ppf(self, q):
-        return self.marginal.ppf(q)
-
     def factors(self, dims) -> list[np.ndarray]:
         if len(dims) != self.cov.d:
             raise ValueError(f"dims must have {self.cov.d} coordinates")
-        if any(n < 1 for n in dims):
-            raise ValueError(f"dims must be >= 1 componentwise, got {tuple(dims)}")
         return [
             toeplitz_cholesky(ax, n, axis=i)
             for i, (ax, n) in enumerate(zip(self.cov.axes, dims))
@@ -331,8 +332,8 @@ class GaussianSeparableField(FieldModel):
             x[:, r] = rng.standard_normal(dims)
         return self._transform(x, factors)
 
-    def sample_values(self, dims, rng):
-        return self._draw(tuple(dims), [rng])[:, 0]
+    def _values(self, dims, rng):
+        return self._draw(dims, [rng])[:, 0]
 
     def _chunk_maxes(self, dims, seed, lo, hi):
         x = self._draw(dims, [replication_rng(seed, r) for r in range(lo, hi)])

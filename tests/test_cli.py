@@ -55,6 +55,20 @@ class TestSectorial:
             tmp_path / "w4" / "results.csv"
         ).read_bytes()
 
+    def test_berman_columns_match_bound_vs_empirical(self, tmp_path):
+        from phantomfields import GaussianSeparableField, example_covariance, levels_u
+        from phantomfields.cli import _sub_seed
+        from phantomfields.diagnostics import bound_vs_empirical
+
+        cfg = write_cfg(tmp_path, SMALL_SECTORIAL)
+        run(["sectorial-test", "--config", cfg, "--out", str(tmp_path / "o")])
+        model = GaussianSeparableField(example_covariance())
+        lines = (tmp_path / "o" / "results.csv").read_text().splitlines()[1:]
+        for n, line in zip(SMALL_SECTORIAL["n_grid"], lines):
+            g = bound_vs_empirical(model, n, levels_u(1.0, n), 300, _sub_seed(5, n))
+            expected = [repr(g.p_hat), repr(g.target), repr(g.gap), repr(g.bound), str(g.verdict).lower()]
+            assert line.split(",")[7:] == expected
+
     def test_flag_overrides_config(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_SECTORIAL)
         run(["sectorial-test", "--config", cfg, "--out", str(tmp_path / "o"), "--reps", "100"])
@@ -171,10 +185,29 @@ class TestInputErrors:
         assert err.startswith("error: axis 0 ")
         assert err.count("\n") == 1
 
-    def test_empty_dims(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, {"dims": [0, 4]})
+    @pytest.mark.parametrize("kind", ["gaussian_separable", "moving_max", "iid"])
+    def test_empty_dims(self, tmp_path, capsys, kind):
+        cfg = write_cfg(tmp_path, {"model": {"kind": kind}, "dims": [0, 4]})
         assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "dims must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "field.csv").exists()
+
+    def test_scalar_grid_is_one_line(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {"n_grid": 5})
+        assert run(["sectorial-test", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config field 'n_grid' ")
+        assert err.count("\n") == 1
+
+    def test_negative_reps_rejected(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {"n_grid": [5], "reps": -5})
+        assert run(["berman", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config field 'reps' ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+        assert run(["berman", "--reps", "-5", "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("error: flag --reps ")
 
     def test_version_embedded(self, tmp_path):
         run(["extremal-index", "--out", str(tmp_path / "o")])

@@ -27,12 +27,12 @@ def loglog(k):
 
 @pytest.fixture(scope="module")
 def eta1():
-    return build_eta1(0.26, horizon=100_000)
+    return build_eta1(0.26)
 
 
 @pytest.fixture(scope="module")
 def eta2():
-    return build_eta2(0.10, horizon=100_000)
+    return build_eta2(0.10)
 
 
 class TestKnots:
@@ -71,7 +71,7 @@ class TestKnots:
             assert eta2(-t) == eta2(t)
 
     def test_tail_beyond_horizon_uses_closed_form(self):
-        p = build_eta1(0.26, horizon=100)
+        p = build_eta1(0.26)
         t = 1234.25
         k = math.floor(t)
         expected = 0.26 * (loglog(k) * (1 - (t - k)) + loglog(k + 1) * (t - k))
@@ -82,6 +82,21 @@ class TestValidatePolya:
     def test_built_polygons_pass(self, eta1, eta2):
         assert validate_polya(eta1) == (True, [])
         assert validate_polya(eta2) == (True, [])
+
+    @pytest.mark.parametrize("axis, tail_start", [("eta1", 28), ("eta2", 3)])
+    def test_tail_certificate(self, request, axis, tail_start):
+        # the polygon with every tail knot up to 10^6 stored is a valid Polya
+        # polygon, and the head-only polygon plus its tail rule equals it
+        # bit for bit at every integer up there
+        p = request.getfixturevalue(axis)
+        ks = np.arange(tail_start, 1_000_001, dtype=np.float64)
+        ref = CharacteristicPolygon(
+            knots_t=np.concatenate(([0.0, 1.0], ks)),
+            knots_v=np.concatenate(([1.0, p(1.0)], p.tail(ks))),
+        )
+        assert validate_polya(ref) == (True, [])
+        t = np.arange(1_000_001, dtype=np.float64)
+        assert np.array_equal(p(t), ref(t))
 
     def test_rising_value_rejected(self):
         p = CharacteristicPolygon(
@@ -121,14 +136,14 @@ class TestBuilderErrors:
     @pytest.mark.parametrize("bad", [-0.1, 0.0, 1.0, 1.5])
     def test_gamma_out_of_range(self, bad):
         with pytest.raises(InfeasibleParameterError):
-            build_eta1(bad, horizon=1000)
+            build_eta1(bad)
         with pytest.raises(InfeasibleParameterError):
-            build_eta2(bad, horizon=1000)
+            build_eta2(bad)
 
     def test_eta2_large_gamma_breaks_convexity(self):
         # knot-1 value stays below 1 but the kink at t=1 turns concave
         with pytest.raises(InfeasibleParameterError, match="convexity|nonincreasing"):
-            build_eta2(0.5, horizon=1000)
+            build_eta2(0.5)
 
 
 class TestGammas:
@@ -152,7 +167,7 @@ class TestGammas:
 
 @pytest.fixture(scope="module")
 def cov():
-    return example_covariance(horizon=100_000)
+    return example_covariance()
 
 
 class TestCovariance:
@@ -208,7 +223,7 @@ class TestCovariance:
 @settings(max_examples=60, deadline=None)
 @given(t=st.floats(min_value=0.0, max_value=5e5, allow_nan=False))
 def test_polygon_monotone_and_positive(t):
-    p = build_eta1(0.26, horizon=1000)
+    p = build_eta1(0.26)
     assert p(t) > 0.0
     assert p(t + 1.0) <= p(t) + 1e-15
 
@@ -221,21 +236,21 @@ def test_polygon_monotone_and_positive(t):
 def test_feasible_pairs_build_valid_polygons(g1, g2):
     if not validate_gammas(GammaPair(g1, g2)):
         return
-    ok1, _ = validate_polya(build_eta1(g1, horizon=3000))
-    ok2, _ = validate_polya(build_eta2(g2, horizon=3000))
+    ok1, _ = validate_polya(build_eta1(g1))
+    ok2, _ = validate_polya(build_eta2(g2))
     assert ok1 and ok2
 
 
 class TestConfig:
     def test_roundtrip(self):
-        cov = example_covariance(horizon=5000)
+        cov = example_covariance()
         cfg = to_config(cov)
         assert cfg == {"d": 2, "gamma1": 0.26, "gamma2": 0.10}
-        cov2 = from_config(cfg, horizon=5000)
+        cov2 = from_config(cfg)
         assert covariance_at(cov2, (17, 5)) == covariance_at(cov, (17, 5))
 
     def test_json_string_accepted(self):
-        cov = from_config('{"gamma1": 0.26, "gamma2": 0.10, "d": 2}', horizon=2000)
+        cov = from_config('{"gamma1": 0.26, "gamma2": 0.10, "d": 2}')
         assert cov.d == 2
 
     def test_knot_override(self):

@@ -140,7 +140,7 @@ class TestEnumerationOracle:
 
 @pytest.fixture(scope="module")
 def cov():
-    return example_covariance(horizon=20_000)
+    return example_covariance()
 
 
 class TestBermanBound:

@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -37,41 +33,10 @@ def test_window_too_large_rejected():
         kernels.window_max(np.zeros((3, 3)), (4, 1))
 
 
-def test_sliding_backends_agree():
-    rng = np.random.default_rng(2)
-    a = rng.standard_normal((50, 64))
-    for w in (2, 3, 7):
-        assert np.array_equal(
-            kernels.sliding_max_last_numpy(a, w),
-            kernels.sliding_max_last_numba(a, w) if kernels.HAVE_NUMBA else kernels.sliding_max_last_numpy(a, w),
-        )
-
-
-def test_enum_backends_agree():
-    if not kernels.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    args = ((3, 3), (2, 2), -0.5, 1.5, 0.37, 0.9)
-    t1 = kernels.enum_block_cdf_table_numba(*args)
-    t2 = kernels.enum_block_cdf_table_numpy(*args)
-    assert np.allclose(t1, t2, atol=1e-14)
-
-
 def test_enum_site_cap():
     with pytest.raises(ValueError):
         kernels.enum_block_cdf_table((5, 5), (2, 2), 0.0, 1.0, 0.5, 0.5)
 
 
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, PHANTOMFIELDS_DISABLE_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from phantomfields import kernels; print(kernels.backend())"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "numpy"
-
-
 def test_backend_name_valid():
-    assert kernels.backend() in ("numba", "numpy")
+    assert kernels.backend() == "numpy"

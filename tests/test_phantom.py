@@ -220,7 +220,7 @@ class TestLevelSequences:
     def test_exact_sequence_needs_exact_law(self):
         from phantomfields import GaussianSeparableField, example_covariance
 
-        model = GaussianSeparableField(example_covariance(horizon=1000))
+        model = GaussianSeparableField(example_covariance())
         with pytest.raises(ValueError):
             exact_level_sequence(model, curve_diagonal(2), 0.5, horizon=3)
 

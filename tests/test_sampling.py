@@ -34,7 +34,7 @@ def toeplitz_target(poly, n):
 
 @pytest.fixture(scope="module")
 def cov():
-    return example_covariance(horizon=50_000)
+    return example_covariance()
 
 
 @pytest.fixture(scope="module")
@@ -153,7 +153,7 @@ class TestGaussianExactness:
     )
     def test_implied_covariance_is_target(self, cov, dims, model):
         if model == "d3":
-            cov = from_config({"gamma1": 0.26, "gamma2": 0.10, "d": 3}, horizon=2000)
+            cov = from_config({"gamma1": 0.26, "gamma2": 0.10, "d": 3})
         field = GaussianSeparableField(cov)
         N = math.prod(dims)
         # replication r carries the unit vector e_r, so column r of A is the
