@@ -4,9 +4,9 @@ Subcommands: simulate | sectorial-test | directional-test | extremal-index
 | beta | berman. Each run resolves a config (built-in defaults <- JSON
 config file <- CLI flags), writes results.csv and summary.json into the
 output directory, and exits 0 on success, 2 when a scientific verdict
-fails, 1 on input errors. Outputs embed the resolved config and library
-version; rows are formatted deterministically so reruns with the same
-seed (and any worker count) are byte-identical.
+fails, 1 on input errors, usage errors included. Outputs embed the
+resolved config and library version; rows are formatted deterministically
+so reruns with the same seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -50,7 +50,8 @@ def _type_error(value, default) -> str | None:
     """Why ``value`` cannot replace ``default``, or None if it can.
 
     A value keeps the JSON type of its default (an integer may stand for a
-    float); integers, alone or in a list, are counts or seeds, so >= 0.
+    float); integers, alone or in a list, are counts or seeds, so >= 0, and
+    a list of them is a grid or a shape, so nonempty.
     """
     count = lambda v: type(v) is int and v >= 0
     if type(default) is int:
@@ -58,7 +59,8 @@ def _type_error(value, default) -> str | None:
     elif type(default) is float:
         ok, kind = type(value) in (int, float), "a number"
     elif type(default) is list and default and type(default[0]) is int:
-        ok, kind = type(value) is list and all(map(count, value)), "a list of nonnegative integers"
+        ok = type(value) is list and len(value) > 0 and all(map(count, value))
+        kind = "a nonempty list of nonnegative integers"
     else:
         kinds = {bool: "true or false", str: "a string", list: "a list", dict: "an object"}
         ok, kind = type(value) is type(default), kinds[type(default)]
@@ -84,7 +86,7 @@ def _load_config(path: str | None, defaults: dict, args) -> dict:
             if why:
                 raise ConfigError(f"config field {key!r} {why}, got {json.dumps(value)}")
         cfg.update(user)
-    for flag in ("seed", "reps", "workers"):
+    for flag in ("seed", "reps"):
         val = getattr(args, flag, None)
         if val is not None:
             if flag not in defaults:
@@ -124,30 +126,36 @@ def _write_outputs(out_dir: str, command: str, cfg: dict, header, rows, verdicts
         fh.write("\n")
 
 
+def _choice(what: str, value, allowed):
+    if value not in allowed:
+        raise ConfigError(f"{what} must be one of {', '.join(allowed)}, got {json.dumps(value)}")
+    return value
+
+
 def _model_from_config(cfg: dict):
-    kind = cfg.get("kind", "gaussian_separable")
+    kinds = ("gaussian_separable", "iid", "moving_max")
+    kind = _choice("model kind", cfg.get("kind", "gaussian_separable"), kinds)
     if kind == "gaussian_separable":
         g = GammaPair(float(cfg.get("gamma1", 0.26)), float(cfg.get("gamma2", 0.10)))
         return GaussianSeparableField(example_covariance(g))
+    # scipy.stats is imported only by the models that use it: it is slow to import
     if kind == "iid":
-        marg = cfg.get("marginal", "uniform")
         from scipy.stats import norm, uniform
 
-        return IIDField({"uniform": uniform(), "normal": norm()}[marg])
-    if kind == "moving_max":
-        icfg = cfg.get("innovations", {"kind": "uniform"})
-        if icfg.get("kind", "uniform") == "uniform":
-            from scipy.stats import uniform
+        marg = _choice("iid marginal", cfg.get("marginal", "uniform"), ("uniform", "normal"))
+        return IIDField({"uniform": uniform, "normal": norm}[marg]())
+    icfg = cfg.get("innovations", {"kind": "uniform"})
+    if _choice("innovations kind", icfg.get("kind", "uniform"), ("uniform", "two_atom")) == "uniform":
+        from scipy.stats import uniform
 
-            innov = uniform()
-        else:
-            innov = TwoAtomInnovations(
-                lo=float(icfg.get("lo", 0.0)),
-                hi=float(icfg.get("hi", 1.0)),
-                p_lo=float(icfg.get("p_lo", 0.5)),
-            )
-        return MovingMaxField(tuple(cfg.get("window", (2, 2))), innov)
-    raise ConfigError(f"unknown model kind {kind!r}")
+        innov = uniform()
+    else:
+        innov = TwoAtomInnovations(
+            lo=float(icfg.get("lo", 0.0)),
+            hi=float(icfg.get("hi", 1.0)),
+            p_lo=float(icfg.get("p_lo", 0.5)),
+        )
+    return MovingMaxField(tuple(cfg.get("window", (2, 2))), innov)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +169,6 @@ SECTORIAL_DEFAULTS = {
     "reps": 2000,
     "seed": 20240901,
     "c": 1.0,
-    "workers": 1,
 }
 
 
@@ -173,9 +180,7 @@ def cmd_sectorial_test(cfg: dict, out: str) -> int:
     rows = []
     dists, ses, berman_ok = [], [], []
     for n in cfg["n_grid"]:
-        law = phantom.empirical_max_law(
-            model, (n, n), cfg["reps"], _sub_seed(cfg["seed"], n), workers=cfg["workers"]
-        )
+        law = phantom.empirical_max_law(model, (n, n), cfg["reps"], _sub_seed(cfg["seed"], n))
         rep = phantom.phantom_distance(law, phi, n * n)
         u = phantom.levels_u(cfg["c"], n)
         g = diagnostics.bound_vs_maxima(model.cov, law.values, n, u)
@@ -341,7 +346,6 @@ BERMAN_DEFAULTS = {
     "c": 1.0,
     "reps": 2000,
     "seed": 20240901,
-    "workers": 1,
 }
 
 
@@ -353,9 +357,7 @@ def cmd_berman(cfg: dict, out: str) -> int:
         u = phantom.levels_u(cfg["c"], n)
         b = diagnostics.berman_bound(model.cov, n, u)
         if cfg["reps"] > 0:
-            g = diagnostics.bound_vs_empirical(
-                model, n, u, cfg["reps"], _sub_seed(cfg["seed"], n), workers=cfg["workers"]
-            )
+            g = diagnostics.bound_vs_empirical(model, n, u, cfg["reps"], _sub_seed(cfg["seed"], n))
             all_ok = all_ok and g.verdict
             rows.append((n, u, b.total, b.sigma1, b.sigma2, b.alpha, g.gap, g.se, g.verdict))
         else:
@@ -414,8 +416,14 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # exit 2 means a failed verdict, so a usage error is an input error (exit 1)
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="phantomfields", description=__doc__)
+    p = _Parser(prog="phantomfields", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         sp = sub.add_parser(name)
@@ -423,14 +431,13 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--reps", type=int, default=None)
         sp.add_argument("--out", default="out", help="output directory")
-        sp.add_argument("--workers", type=int, default=None)
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    fn, defaults = COMMANDS[args.command]
     try:
+        args = build_parser().parse_args(argv)
+        fn, defaults = COMMANDS[args.command]
         cfg = _load_config(args.config, defaults, args)
         return fn(cfg, args.out)
     except (ConfigError, ValueError, FactorizationError) as e:

@@ -11,6 +11,7 @@ block-max laws) can take the full finite split set.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -21,7 +22,7 @@ from scipy.special import log_ndtr
 from . import kernels
 from .covariance import SeparableCovariance, delta_sup
 from .lattice import MonotoneCurve
-from .sampling import TwoAtomInnovations, replication_rng
+from .sampling import TwoAtomInnovations
 
 
 @dataclass(frozen=True)
@@ -79,45 +80,39 @@ def _split_blocks(split: BlockSplit, d: int):
         yield tuple(split.parts[idx[j]][j] for j in range(d))
 
 
-class _BlockProbabilities:
-    """P(M_dims <= level) for every needed sub-block, exact or MC.
+def _reader(table):
+    """dims -> table[dims - 1] = P(M_dims <= level); 1 on empty blocks, whose max is -inf."""
+    return lambda dims: 1.0 if 0 in dims else float(table[tuple(n - 1 for n in dims)])
 
-    MC mode samples the full constraint rectangle once per replication
-    and reads every anchored sub-block probability off the running
-    (cumulative) maximum, so all estimates come from the same seeded
-    replications and empty blocks contribute probability 1.
+
+def _block_probabilities(model, bound, level: float, mode: str, reps: int = 0, seed: int = 0):
+    """dims -> P(M_dims <= level) for every sub-block of the box ``bound``, exact or MC.
+
+    Exact mode evaluates the model's law on first use of each block. MC
+    mode draws the full box once per replication and reads every anchored
+    sub-block off the running maxima along each axis, so all estimates
+    come from the same seeded replications.
     """
+    if mode == "exact":
+        exact = functools.cache(lambda dims: float(model.exact_block_max_cdf(dims, float(level))))
+        return lambda dims: 1.0 if 0 in dims else exact(dims)
+    counts = np.zeros(tuple(int(b) for b in bound), dtype=np.int64)
+    for m in model.batches(counts.shape, reps, seed):
+        for ax in range(1, m.ndim):
+            m = np.maximum.accumulate(m, axis=ax)
+        counts += (m <= level).sum(axis=0)
+        del m  # drop this chunk before the next is drawn: one chunk alive at a time
+    return _reader(counts / reps)
 
-    def __init__(self, model, bound, level, mode, reps=0, seed=0):
-        self.level = float(level)
-        self.mode = mode
-        self.reps = reps
-        if mode == "exact":
-            self._table = None
-            self._model = model
-            self._bound = tuple(bound)
-            self._cache: dict = {}
-        else:
-            bound = tuple(int(b) for b in bound)
-            counts = np.zeros(bound, dtype=np.int64)
-            for r in range(reps):
-                x = model.sample_values(bound, replication_rng(seed, r))
-                m = x
-                for ax in range(len(bound)):
-                    m = np.maximum.accumulate(m, axis=ax)
-                counts += m <= level
-            self._table = counts / reps
 
-    def get(self, dims) -> float:
-        if any(n == 0 for n in dims):
-            return 1.0  # max over an empty rectangle is -inf
-        if self._table is not None:
-            return float(self._table[tuple(n - 1 for n in dims)])
-        p = self._cache.get(dims)
-        if p is None:
-            p = float(self._model.exact_block_max_cdf(dims, self.level))
-            self._cache[dims] = p
-        return p
+def _beta_over(prob, splits, d: int):
+    """(max, argmax) over ``splits`` of |P(total) - product over the k^d sub-blocks|."""
+    best, arg = -1.0, None
+    for s in splits:
+        val = abs(prob(s.total) - math.prod(prob(dims) for dims in _split_blocks(s, d)))
+        if val > best:
+            best, arg = val, s
+    return best, arg
 
 
 @dataclass(frozen=True)
@@ -177,8 +172,13 @@ def beta_k_estimate(
     bound = tuple(int(math.floor(T * c)) for c in point)
     if any(b < 0 for b in bound):
         raise ValueError("constraint box must be nonnegative")
+    if mode not in ("auto", "exact", "mc"):
+        raise ValueError(f"mode must be auto, exact or mc, got {mode!r}")
+    has_exact = model.exact_block_max_cdf(bound, level) is not None
+    if mode == "exact" and not has_exact:
+        raise ValueError(f"model {model.name} has no exact block-max law")
     if mode == "auto":
-        mode = "exact" if model.exact_block_max_cdf(bound, level) is not None else "mc"
+        mode = "exact" if has_exact else "mc"
     if splits is None:
         splits = quarter_grid_splits(bound, k)
     for s in splits:
@@ -186,17 +186,8 @@ def beta_k_estimate(
             raise ValueError(f"split {s} has {s.k} parts, expected {k}")
         if not s.within(bound):
             raise ValueError(f"split {s.parts} exceeds the constraint box {bound}")
-    probs = _BlockProbabilities(model, bound, level, mode, reps=reps, seed=seed)
-    d = len(bound)
-    best, arg = -1.0, None
-    for s in splits:
-        total = probs.get(s.total)
-        prod = 1.0
-        for dims in _split_blocks(s, d):
-            prod *= probs.get(dims)
-        val = abs(total - prod)
-        if val > best:
-            best, arg = val, s
+    prob = _block_probabilities(model, bound, level, mode, reps=reps, seed=seed)
+    best, arg = _beta_over(prob, splits, len(bound))
     # worst-case standard error of a single estimated probability
     se = None if mode == "exact" else math.sqrt(0.25 / reps)
     return BetaReport(
@@ -237,10 +228,9 @@ def enumeration_block_cdf(model, dims, level: float) -> float:
         raise ValueError("enumeration oracle needs a moving-max model with two-atom innovations")
     if len(dims) != 2:
         raise ValueError("enumeration oracle is 2-d only")
-    table = kernels.enum_block_cdf_table(
-        tuple(int(x) for x in dims), model.window, innov.lo, innov.hi, innov.p_lo, level
-    )
-    return float(table[dims[0] - 1, dims[1] - 1])
+    dims = tuple(int(x) for x in dims)
+    table = kernels.enum_block_cdf_table(dims, model.window, innov.lo, innov.hi, innov.p_lo, level)
+    return _reader(table)(dims)
 
 
 def enumeration_beta(model, bound, level: float, k: int = 2) -> float:
@@ -249,18 +239,7 @@ def enumeration_beta(model, bound, level: float, k: int = 2) -> float:
     table = kernels.enum_block_cdf_table(
         tuple(int(b) for b in bound), model.window, innov.lo, innov.hi, innov.p_lo, level
     )
-
-    def prob(dims):
-        if any(x == 0 for x in dims):
-            return 1.0
-        return float(table[dims[0] - 1, dims[1] - 1])
-
-    best = 0.0
-    for s in exhaustive_splits(bound, k):
-        val = abs(prob(s.total) - math.prod(prob(dims) for dims in _split_blocks(s, 2)))
-        if val > best:
-            best = val
-    return best
+    return _beta_over(_reader(table), exhaustive_splits(bound, k), 2)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +365,7 @@ def bound_vs_maxima(c: SeparableCovariance, maxes, n: int, u: float) -> GapRepor
     )
 
 
-def bound_vs_empirical(model, n: int, u: float, reps: int, seed: int, workers: int = 1) -> GapReport:
+def bound_vs_empirical(model, n: int, u: float, reps: int, seed: int) -> GapReport:
     """``bound_vs_maxima`` on reps fresh draws of the n x n block maximum."""
-    maxes = model.block_maxes((n, n), reps, seed, workers=workers)
+    maxes = model.block_maxes((n, n), reps, seed)
     return bound_vs_maxima(model.cov, maxes, n, u)

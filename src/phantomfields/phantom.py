@@ -177,11 +177,11 @@ class ExactLaw:
             self.cdf_left = self.cdf
 
 
-def empirical_max_law(model, dims, reps: int, seed: int, workers: int = 1) -> EmpiricalLaw:
+def empirical_max_law(model, dims, reps: int, seed: int) -> EmpiricalLaw:
     """reps independent draws of M_dims under the model; deterministic per seed."""
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    maxes = np.sort(model.block_maxes(tuple(dims), reps, seed, workers=workers))
+    maxes = np.sort(model.block_maxes(tuple(dims), reps, seed))
     prov = {"model": model.name, "dims": tuple(dims), "reps": reps, "seed": seed}
     return EmpiricalLaw(values=maxes, reps=reps, provenance=prov)
 
@@ -293,7 +293,6 @@ def estimate_level_sequence(
     horizon: int,
     reps: int,
     seed: int,
-    workers: int = 1,
 ) -> LevelSequence:
     """Empirical gamma-quantiles of M_psi(n), rendered nondecreasing.
 
@@ -308,7 +307,7 @@ def estimate_level_sequence(
     raw = np.empty(len(pts))
     for i, dims in enumerate(pts):
         sub = int(np.random.SeedSequence([seed, int(n_values[i])]).generate_state(1, np.uint64)[0])
-        law = empirical_max_law(model, tuple(int(x) for x in dims), reps, sub, workers=workers)
+        law = empirical_max_law(model, tuple(int(x) for x in dims), reps, sub)
         raw[i] = law.quantile(gamma)
     repaired = np.maximum.accumulate(raw)
     violations = int(np.sum(raw < repaired))

@@ -1,15 +1,15 @@
 """Exact samplers for the field models and their oracle laws.
 
 Models share one RNG contract: replication r of a run with master seed s
-draws from the generator seeded by SeedSequence([s, r]), so serial and
-parallel executions (and any chunking of the replication range) produce
-bit-identical output.
+draws from the generator seeded by SeedSequence([s, r]), so any chunking
+of the replication range produces bit-identical output. Every Monte-Carlo
+consumer draws its replications through ``FieldModel.batches``, one chunk
+at a time.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,18 +109,31 @@ def _rectangle(dims) -> tuple[int, ...]:
 class FieldModel:
     """Base: stationary model sampled on rectangles [1, n1] x ... x [1, nd].
 
-    Draws go through ``sample_values`` or ``block_maxes``, which reject
-    empty rectangles before a model's ``_values`` or ``_chunk_maxes`` runs.
+    A model implements one draw method, ``_batch(dims, rngs)``: the draws
+    of the replications with substreams ``rngs``, stacked (R, *dims). Draws
+    go through ``sample_values`` or ``batches``, which reject empty
+    rectangles before ``_batch`` runs.
     """
 
     name = "field"
 
     def sample_values(self, dims, rng) -> np.ndarray:
         """One draw on the rectangle ``dims`` from the substream ``rng``."""
-        return self._values(_rectangle(dims), rng)
+        return self._batch(_rectangle(dims), [rng])[0]
 
-    def _values(self, dims, rng) -> np.ndarray:
+    def _batch(self, dims, rngs) -> np.ndarray:
         raise NotImplementedError
+
+    def batches(self, dims, reps: int, seed: int, chunk: int = DEFAULT_CHUNK):
+        """Replications 0..reps-1 of ``seed`` in order, as chunks (R, *dims) with R <= chunk.
+
+        Replication r draws from ``replication_rng(seed, r)``, so the values
+        do not depend on ``chunk``. Reduce each chunk before drawing the next
+        (e.g. through ``map``) to keep one chunk alive at a time.
+        """
+        dims = _rectangle(dims)
+        for lo in range(0, reps, chunk):
+            yield self._batch(dims, [replication_rng(seed, r) for r in range(lo, min(lo + chunk, reps))])
 
     def marginal_cdf(self, x):
         return self.marginal.cdf(x)
@@ -140,25 +153,10 @@ class FieldModel:
         values = self.sample_values(dims, replication_rng(seed, rep))
         return FieldSample(dims=tuple(dims), values=values, seed=seed)
 
-    def _chunk_maxes(self, dims, seed, lo, hi) -> np.ndarray:
-        out = np.empty(hi - lo)
-        for r in range(lo, hi):
-            out[r - lo] = self._values(dims, replication_rng(seed, r)).max()
-        return out
-
-    def block_maxes(
-        self, dims, reps: int, seed: int, workers: int = 1, chunk: int = DEFAULT_CHUNK
-    ) -> np.ndarray:
-        """reps independent draws of M_dims; identical for any worker count."""
-        dims = _rectangle(dims)
-        bounds = [(lo, min(lo + chunk, reps)) for lo in range(0, reps, chunk)]
-        if workers <= 1 or len(bounds) == 1:
-            parts = [self._chunk_maxes(dims, seed, lo, hi) for lo, hi in bounds]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(
-                    pool.map(lambda b: self._chunk_maxes(dims, seed, b[0], b[1]), bounds)
-                )
+    def block_maxes(self, dims, reps: int, seed: int, chunk: int = DEFAULT_CHUNK) -> np.ndarray:
+        """reps independent draws of M_dims; identical for any chunk size."""
+        axes = tuple(range(1, len(dims) + 1))
+        parts = list(map(lambda x: x.max(axis=axes), self.batches(dims, reps, seed, chunk)))
         return np.concatenate(parts) if parts else np.empty(0)
 
 
@@ -170,8 +168,8 @@ class IIDField(FieldModel):
     def __init__(self, marginal):
         self.marginal = marginal
 
-    def _values(self, dims, rng):
-        return np.asarray(self.marginal.rvs(size=dims, random_state=rng), dtype=np.float64)
+    def _batch(self, dims, rngs):
+        return np.stack([self.marginal.rvs(size=dims, random_state=rng) for rng in rngs], dtype=np.float64)
 
     def exact_block_max_cdf(self, dims, x):
         n_star = int(np.prod(dims))
@@ -199,14 +197,15 @@ class MovingMaxField(FieldModel):
         self.innovations = innovations
 
     def dilated(self, dims) -> tuple[int, ...]:
+        """The innovation rectangle n + window - 1 behind the rectangle ``dims``."""
+        if len(dims) != len(self.window):
+            raise ValueError(f"dims must have {len(self.window)} coordinates")
         return tuple(n + w - 1 for n, w in zip(dims, self.window))
 
-    def _values(self, dims, rng):
-        z = np.asarray(
-            self.innovations.rvs(size=self.dilated(dims), random_state=rng),
-            dtype=np.float64,
-        )
-        return kernels.window_max(z, self.window)
+    def _batch(self, dims, rngs):
+        shape = self.dilated(dims)
+        z = np.stack([self.innovations.rvs(size=shape, random_state=rng) for rng in rngs], dtype=np.float64)
+        return kernels.window_max(z, (1,) + self.window)
 
     def marginal_cdf(self, x):
         w_star = int(np.prod(self.window))
@@ -324,20 +323,13 @@ class GaussianSeparableField(FieldModel):
             dtrmm(1.0, L, x.reshape(-1, L.shape[0]).T, lower=1, overwrite_b=1)
         return x
 
-    def _draw(self, dims, rngs):
-        """Draws of the replications with substreams ``rngs``, laid out (n0, R, n1, ...)."""
+    def _batch(self, dims, rngs):
         factors = self.factors(dims)
         x = np.empty((dims[0], len(rngs)) + dims[1:])
         for r, rng in enumerate(rngs):
             x[:, r] = rng.standard_normal(dims)
-        return self._transform(x, factors)
-
-    def _values(self, dims, rng):
-        return self._draw(dims, [rng])[:, 0]
-
-    def _chunk_maxes(self, dims, seed, lo, hi):
-        x = self._draw(dims, [replication_rng(seed, r) for r in range(lo, hi)])
-        return x.max(axis=(0,) + tuple(range(2, x.ndim)))
+        # a view (R, n0, n1, ...) of the (n0, R, n1, ...) layout, not a copy
+        return np.moveaxis(self._transform(x, factors), 1, 0)
 
 
 def sample_gaussian_separable(c: SeparableCovariance, dims, seed: int) -> FieldSample:
@@ -361,20 +353,17 @@ def sample_iid(marginal, dims, seed: int) -> FieldSample:
 def equicorrelated_maxes(N: int, rho: float, reps: int, seed: int) -> np.ndarray:
     """Draws of sqrt(1-rho) * max(eta_1..eta_N) + sqrt(rho) * zeta.
 
-    All variates standard normal, the eta's independent of zeta; one
-    value per replication substream.
+    All variates standard normal, the eta's independent of zeta. Replication
+    r reads eta_1..eta_N and then zeta off one i.i.d. normal draw of length
+    N + 1 from its substream.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     if not 0.0 <= rho < 1.0:
         raise ValueError("rho must be in [0, 1)")
-    out = np.empty(reps)
-    for r in range(reps):
-        rng = replication_rng(seed, r)
-        m = rng.standard_normal(N).max()
-        z = rng.standard_normal()
-        out[r] = np.sqrt(1.0 - rho) * m + np.sqrt(rho) * z
-    return out
+    combine = lambda x: np.sqrt(1.0 - rho) * x[:, :N].max(axis=1) + np.sqrt(rho) * x[:, N]
+    parts = list(map(combine, IIDField(_NormalMarginal()).batches((N + 1,), reps, seed)))
+    return np.concatenate(parts) if parts else np.empty(0)
 
 
 def sample_equicorrelated_max(N: int, rho: float, seed: int) -> float:

@@ -47,14 +47,6 @@ class TestSectorial:
             tmp_path / "b" / "results.csv"
         ).read_bytes()
 
-    def test_worker_count_invariance(self, tmp_path):
-        cfg = write_cfg(tmp_path, SMALL_SECTORIAL)
-        run(["sectorial-test", "--config", cfg, "--out", str(tmp_path / "w1"), "--workers", "1"])
-        run(["sectorial-test", "--config", cfg, "--out", str(tmp_path / "w4"), "--workers", "4"])
-        assert (tmp_path / "w1" / "results.csv").read_bytes() == (
-            tmp_path / "w4" / "results.csv"
-        ).read_bytes()
-
     def test_berman_columns_match_bound_vs_empirical(self, tmp_path):
         from phantomfields import GaussianSeparableField, example_covariance, levels_u
         from phantomfields.cli import _sub_seed
@@ -208,6 +200,62 @@ class TestInputErrors:
         assert not (tmp_path / "o").exists()
         assert run(["berman", "--reps", "-5", "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith("error: flag --reps ")
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("sectorial-test", {"n_grid": []}),
+            ("directional-test", {"N_grid": []}),
+            ("simulate", {"model": {"kind": "iid"}, "dims": []}),
+            ("berman", {"n_grid": []}),
+        ],
+    )
+    def test_empty_integer_list(self, tmp_path, capsys, command, payload):
+        cfg = write_cfg(tmp_path, payload)
+        assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "must be a nonempty list of nonnegative integers" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("beta", {"model": {"kind": "moving_max", "window": [2]}}),
+            ("simulate", {"model": {"kind": "moving_max"}, "dims": [4]}),
+        ],
+    )
+    def test_moving_max_dims_length(self, tmp_path, capsys, command, payload):
+        cfg = write_cfg(tmp_path, payload)
+        assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: dims must have ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, payload, allowed",
+        [
+            ("beta", {"mode": "bogus"}, "auto, exact or mc"),
+            ("beta", {"model": {"kind": "gaussian_separable"}, "mode": "exact"}, "no exact block-max law"),
+            ("simulate", {"model": {"kind": "iid", "marginal": "cauchy"}}, "uniform, normal"),
+            ("beta", {"model": {"kind": "moving_max", "innovations": {"kind": "gamma"}}}, "uniform, two_atom"),
+            ("simulate", {"model": {"kind": "perpetuum"}}, "gaussian_separable, iid, moving_max"),
+        ],
+    )
+    def test_no_silent_model_or_mode_default(self, tmp_path, capsys, command, payload, allowed):
+        cfg = write_cfg(tmp_path, payload)
+        assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and allowed in err
+        assert err.count("\n") == 1
+
+    def test_usage_error_exits_1(self, tmp_path, capsys):
+        # --workers is gone; a stale flag is an input error, not a failed verdict (exit 2)
+        assert run(["sectorial-test", "--workers", "2", "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unrecognized arguments: --workers 2")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
     def test_version_embedded(self, tmp_path):
         run(["extremal-index", "--out", str(tmp_path / "o")])

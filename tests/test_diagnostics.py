@@ -22,9 +22,10 @@ from phantomfields import (
     exhaustive_splits,
     levels_u,
     quarter_grid_splits,
+    replication_rng,
 )
 from phantomfields.covariance import SeparableCovariance
-from phantomfields.diagnostics import _BlockProbabilities
+from phantomfields.diagnostics import _block_probabilities
 
 
 @pytest.fixture(scope="module")
@@ -67,19 +68,19 @@ class TestBetaExact:
         assert rep.value <= 1e-12
 
     def test_empty_blocks_contribute_one(self, two_atom_model):
-        probs = _BlockProbabilities(two_atom_model, (3, 3), 0.5, "exact")
-        assert probs.get((0, 3)) == 1.0
-        assert probs.get((0, 0)) == 1.0
+        probs = _block_probabilities(two_atom_model, (3, 3), 0.5, "exact")
+        assert probs((0, 3)) == 1.0
+        assert probs((0, 0)) == 1.0
 
     def test_zero_part_reduces_to_fewer_blocks(self, two_atom_model):
         # with p = 0 the product collapses to the q block alone
-        probs = _BlockProbabilities(two_atom_model, (3, 3), 0.5, "exact")
+        probs = _block_probabilities(two_atom_model, (3, 3), 0.5, "exact")
         split = BlockSplit(parts=((0, 0), (3, 3)))
         prod = 1.0
         for i1 in range(2):
             for i2 in range(2):
-                prod *= probs.get((split.parts[i1][0], split.parts[i2][1]))
-        assert prod == probs.get((3, 3))
+                prod *= probs((split.parts[i1][0], split.parts[i2][1]))
+        assert prod == probs((3, 3))
 
     def test_k2_equals_beta_estimate(self, two_atom_model):
         a = beta_estimate(two_atom_model, curve_diagonal(2), 0.5, T=1.0, n=3, mode="exact")
@@ -95,6 +96,26 @@ class TestBetaExact:
         rep = beta_estimate(two_atom_model, curve_diagonal(2), 0.5, T=1.0, n=3, mode="exact")
         assert rep.lower_bound_only
         assert rep.to_json()["functional"] == "beta_k2"
+
+
+class TestBlockProbabilitiesMC:
+    @pytest.mark.parametrize("kind", ["moving_max", "gaussian_separable"])
+    def test_table_matches_per_replication_loop(self, two_atom_model, kind):
+        model = two_atom_model if kind == "moving_max" else GaussianSeparableField(example_covariance())
+        # 600 reps span three chunks of the default size 256
+        bound, level, reps, seed = (3, 4), 0.5, 600, 9
+        counts = np.zeros(bound, dtype=np.int64)
+        for r in range(reps):
+            m = model.sample_values(bound, replication_rng(seed, r))
+            for ax in range(len(bound)):
+                m = np.maximum.accumulate(m, axis=ax)
+            counts += m <= level
+        ref = counts / reps
+        probs = _block_probabilities(model, bound, level, "mc", reps=reps, seed=seed)
+        for a in range(1, bound[0] + 1):
+            for b in range(1, bound[1] + 1):
+                assert probs((a, b)) == ref[a - 1, b - 1]
+        assert probs((0, 2)) == 1.0
 
 
 class TestEnumerationOracle:

@@ -80,19 +80,18 @@ class TestGaussianSampler:
         c = sample_gaussian_separable(cov, (6, 7), seed=100)
         assert not np.array_equal(a.values, c.values)
 
-    def test_block_maxes_worker_invariance(self, gauss):
-        m1 = gauss.block_maxes((10, 10), 100, seed=3, workers=1, chunk=16)
-        m4 = gauss.block_maxes((10, 10), 100, seed=3, workers=4, chunk=16)
-        assert np.array_equal(m1, m4)
-
-    def test_chunk_invariance_long_axis(self, gauss):
+    @pytest.mark.parametrize("kind", ["gaussian_separable", "moving_max", "iid"])
+    def test_chunk_invariance_long_axis(self, gauss, kind):
+        model = {
+            "gaussian_separable": gauss,
+            "moving_max": MovingMaxField((2, 3), uniform()),
+            "iid": IIDField(uniform()),
+        }[kind]
         dims, reps = (300, 4), 100
-        ref = gauss.block_maxes(dims, reps, seed=3, workers=1, chunk=16)
-        for chunk in (16, 256):
-            for workers in (1, 2):
-                m = gauss.block_maxes(dims, reps, seed=3, workers=workers, chunk=chunk)
-                assert np.array_equal(m, ref)
-        single = [gauss.sample_values(dims, replication_rng(3, r)).max() for r in range(reps)]
+        ref = model.block_maxes(dims, reps, seed=3, chunk=16)
+        for chunk in (7, 256):
+            assert np.array_equal(model.block_maxes(dims, reps, seed=3, chunk=chunk), ref)
+        single = [model.sample_values(dims, replication_rng(3, r)).max() for r in range(reps)]
         assert np.array_equal(np.array(single), ref)
 
     def test_degenerate_polygon_rejected(self):
