@@ -19,7 +19,6 @@ from .covariance import (
 from .diagnostics import (
     BlockSplit,
     berman_bound,
-    beta_estimate,
     beta_k_estimate,
     bound_vs_empirical,
     bound_vs_maxima,
@@ -72,8 +71,4 @@ from .sampling import (
     TwoAtomInnovations,
     equicorrelated_maxes,
     replication_rng,
-    sample_equicorrelated_max,
-    sample_gaussian_separable,
-    sample_iid,
-    sample_moving_max,
 )

@@ -30,6 +30,8 @@ from .sampling import (
     IIDField,
     MovingMaxField,
     TwoAtomInnovations,
+    _NormalMarginal,
+    _UniformMarginal,
     dump_csv,
 )
 
@@ -132,30 +134,37 @@ def _choice(what: str, value, allowed):
     return value
 
 
+def _model_field(cfg: dict, key: str, default):
+    """``cfg[key]`` (``default`` if absent), typed like a config field; a ConfigError names the field."""
+    value = cfg.get(key, default)
+    why = _type_error(value, default)
+    if why:
+        raise ConfigError(f"model field {key!r} {why}, got {json.dumps(value)}")
+    return value
+
+
 def _model_from_config(cfg: dict):
     kinds = ("gaussian_separable", "iid", "moving_max")
     kind = _choice("model kind", cfg.get("kind", "gaussian_separable"), kinds)
     if kind == "gaussian_separable":
-        g = GammaPair(float(cfg.get("gamma1", 0.26)), float(cfg.get("gamma2", 0.10)))
+        g = GammaPair(float(_model_field(cfg, "gamma1", 0.26)), float(_model_field(cfg, "gamma2", 0.10)))
         return GaussianSeparableField(example_covariance(g))
-    # scipy.stats is imported only by the models that use it: it is slow to import
+    # uniform and normal are the built-in marginals, not scipy.stats' frozen
+    # laws: same values and draws, without scipy.stats' import time
     if kind == "iid":
-        from scipy.stats import norm, uniform
-
         marg = _choice("iid marginal", cfg.get("marginal", "uniform"), ("uniform", "normal"))
-        return IIDField({"uniform": uniform, "normal": norm}[marg]())
-    icfg = cfg.get("innovations", {"kind": "uniform"})
+        return IIDField({"uniform": _UniformMarginal, "normal": _NormalMarginal}[marg]())
+    icfg = _model_field(cfg, "innovations", {"kind": "uniform"})
     if _choice("innovations kind", icfg.get("kind", "uniform"), ("uniform", "two_atom")) == "uniform":
-        from scipy.stats import uniform
-
-        innov = uniform()
+        innov = _UniformMarginal()
     else:
         innov = TwoAtomInnovations(
-            lo=float(icfg.get("lo", 0.0)),
-            hi=float(icfg.get("hi", 1.0)),
-            p_lo=float(icfg.get("p_lo", 0.5)),
+            lo=float(_model_field(icfg, "lo", 0.0)),
+            hi=float(_model_field(icfg, "hi", 1.0)),
+            p_lo=float(_model_field(icfg, "p_lo", 0.5)),
         )
-    return MovingMaxField(tuple(cfg.get("window", (2, 2))), innov)
+    # MovingMaxField rejects a window entry of 0
+    return MovingMaxField(_model_field(cfg, "window", [2, 2]), innov)
 
 
 # ---------------------------------------------------------------------------

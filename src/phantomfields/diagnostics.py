@@ -179,6 +179,8 @@ def beta_k_estimate(
         raise ValueError(f"model {model.name} has no exact block-max law")
     if mode == "auto":
         mode = "exact" if has_exact else "mc"
+    if mode == "mc" and reps < 1:
+        raise ValueError(f"mc mode needs reps >= 1, got {reps}")
     if splits is None:
         splits = quarter_grid_splits(bound, k)
     for s in splits:
@@ -203,11 +205,6 @@ def beta_k_estimate(
         se=se,
         lower_bound_only=True,
     )
-
-
-def beta_estimate(model, psi, levels, T, n, splits=None, reps=2000, seed=0, mode="auto") -> BetaReport:
-    """The 2-split functional (the k = 2 case of beta_k_estimate)."""
-    return beta_k_estimate(model, psi, levels, T, n, k=2, splits=splits, reps=reps, seed=seed, mode=mode)
 
 
 def _level_at(levels, n: int) -> float:

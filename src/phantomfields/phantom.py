@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 from scipy.special import log_ndtr, ndtr, ndtri
 
 from .lattice import MonotoneCurve
@@ -342,34 +341,16 @@ def exact_level_sequence(model, curve: MonotoneCurve, gamma: float, horizon: int
     )
 
 
-def construct_G_psi(levels: LevelSequence, smoothing: bool = False) -> PhantomCandidate:
+def construct_G_psi(levels: LevelSequence) -> StepPhantom:
     """The step-function candidate of the level sequence.
 
     Tied consecutive levels (produced by the running-max repair or by
     stalling curve points) make the earlier branch intervals empty; the
     candidate is built on the distinct level values with the exponent of
-    the branch that owns each value. With ``smoothing=True`` a monotone
-    piecewise-linear interpolation is returned instead (a convenience,
-    not part of the step-function construction).
+    the branch that owns each value.
     """
     _, stars, vals = levels.distinct()
-    step = StepPhantom(levels=vals, psi_star=stars, gamma=levels.gamma)
-    if not smoothing:
-        return step
-    heights = levels.gamma ** (1.0 / stars)
-    if len(vals) > 1:
-        anchor = vals[0] - (vals[1] - vals[0])
-    else:
-        anchor = vals[0] - 1.0
-    xs = np.concatenate(([anchor], vals))
-    ys = np.concatenate(([0.0], heights))
-    cand = PhantomCandidate(
-        cdf=lambda x: np.interp(np.asarray(x, dtype=np.float64), xs, ys, left=0.0, right=ys[-1]),
-        name="G_psi_smoothed",
-        breakpoints=xs,
-    )
-    cand.smoothed = True
-    return cand
+    return StepPhantom(levels=vals, psi_star=stars, gamma=levels.gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +407,10 @@ def limit_H(x, kappa: float, nodes: int = GH_NODES, method: str = "gauss-hermite
     scalar = x.ndim == 0
     xv = np.atleast_1d(x)
     if method == "adaptive":
+        # scipy.integrate is imported only here: it loads scipy.optimize and
+        # scipy.sparse, which no CLI command needs
+        from scipy import integrate
+
         out = np.array(
             [
                 integrate.quad(
@@ -467,6 +452,8 @@ def equicorrelated_max_cdf(
     if rho == 0.0:
         out = np.exp(N * log_ndtr(wv))
     elif method == "adaptive":
+        from scipy import integrate
+
         out = np.array(
             [
                 integrate.quad(

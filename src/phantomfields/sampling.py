@@ -62,9 +62,43 @@ def dump_csv(sample: FieldSample, path) -> None:
 # ---------------------------------------------------------------------------
 # innovation / marginal distributions
 #
-# Anything with the scipy frozen-distribution trio (cdf, ppf, rvs) works;
-# TwoAtomInnovations implements the same surface for the enumeration oracle.
+# Anything with the scipy frozen-distribution trio (cdf, ppf, rvs) works.
+# The built-in uniform and normal marginals give the same values as scipy's
+# frozen uniform() and norm() and draw straight from the generator, so the
+# CLI never imports scipy.stats; TwoAtomInnovations implements the same
+# surface for the enumeration oracle.
 # ---------------------------------------------------------------------------
+
+
+class _UniformMarginal:
+    """The standard uniform law on [0, 1]."""
+
+    def cdf(self, x):
+        return np.clip(np.asarray(x, dtype=np.float64), 0.0, 1.0)
+
+    def ppf(self, q):
+        return np.asarray(q, dtype=np.float64)
+
+    def rvs(self, size=None, random_state=None):
+        rng = random_state if random_state is not None else np.random.default_rng()
+        return rng.random(size)
+
+
+class _NormalMarginal:
+    """The standard normal law."""
+
+    def cdf(self, x):
+        return ndtr(x)
+
+    def log_cdf(self, x):
+        return log_ndtr(x)
+
+    def ppf(self, q):
+        return ndtri(q)
+
+    def rvs(self, size=None, random_state=None):
+        rng = random_state if random_state is not None else np.random.default_rng()
+        return rng.standard_normal(size)
 
 
 @dataclass(frozen=True)
@@ -224,21 +258,6 @@ class MovingMaxField(FieldModel):
         return float(self.innovations.ppf(gamma ** (1.0 / m)))
 
 
-class _NormalMarginal:
-    def cdf(self, x):
-        return ndtr(x)
-
-    def log_cdf(self, x):
-        return log_ndtr(x)
-
-    def ppf(self, q):
-        return ndtri(q)
-
-    def rvs(self, size=None, random_state=None):
-        rng = random_state if random_state is not None else np.random.default_rng()
-        return rng.standard_normal(size)
-
-
 def toeplitz_cholesky(poly: CharacteristicPolygon, n: int, axis: int = 0) -> np.ndarray:
     """Lower Cholesky factor of T[a, b] = poly(a - b), cached per length.
 
@@ -332,19 +351,6 @@ class GaussianSeparableField(FieldModel):
         return np.moveaxis(self._transform(x, factors), 1, 0)
 
 
-def sample_gaussian_separable(c: SeparableCovariance, dims, seed: int) -> FieldSample:
-    """One exact draw of the separable Gaussian field. Deterministic per seed."""
-    return GaussianSeparableField(c).sample(dims, seed)
-
-
-def sample_moving_max(window, innovations, dims, seed: int) -> FieldSample:
-    return MovingMaxField(window, innovations).sample(dims, seed)
-
-
-def sample_iid(marginal, dims, seed: int) -> FieldSample:
-    return IIDField(marginal).sample(dims, seed)
-
-
 # ---------------------------------------------------------------------------
 # equicorrelated comparison array
 # ---------------------------------------------------------------------------
@@ -364,7 +370,3 @@ def equicorrelated_maxes(N: int, rho: float, reps: int, seed: int) -> np.ndarray
     combine = lambda x: np.sqrt(1.0 - rho) * x[:, :N].max(axis=1) + np.sqrt(rho) * x[:, N]
     parts = list(map(combine, IIDField(_NormalMarginal()).batches((N + 1,), reps, seed)))
     return np.concatenate(parts) if parts else np.empty(0)
-
-
-def sample_equicorrelated_max(N: int, rho: float, seed: int) -> float:
-    return float(equicorrelated_maxes(N, rho, 1, seed)[0])

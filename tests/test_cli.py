@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -249,6 +252,38 @@ class TestInputErrors:
         assert err.startswith("error: ") and allowed in err
         assert err.count("\n") == 1
 
+    def test_mc_beta_needs_reps(self, tmp_path, capsys):
+        # reps 0 is berman's bound-only mode, so the config loader lets it through
+        cfg = write_cfg(tmp_path, {"mode": "mc", "reps": 0})
+        assert run(["beta", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: mc mode needs reps >= 1")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "model, message",
+        [
+            ({"kind": "moving_max", "innovations": "uniform"}, "model field 'innovations' must be an object"),
+            ({"kind": "moving_max", "window": 2}, "model field 'window' must be a nonempty list"),
+            ({"kind": "moving_max", "window": []}, "model field 'window' must be a nonempty list"),
+            ({"kind": "moving_max", "window": [2, 1.5]}, "model field 'window' must be a nonempty list"),
+            ({"kind": "moving_max", "window": [2, 0]}, "window must be >= 1"),
+            ({"kind": "gaussian_separable", "gamma1": "0.3"}, "model field 'gamma1' must be a number"),
+            ({"kind": "gaussian_separable", "gamma2": None}, "model field 'gamma2' must be a number"),
+            ({"kind": "moving_max", "innovations": {"kind": "two_atom", "lo": [0]}}, "model field 'lo' must be a number"),
+            ({"kind": "moving_max", "innovations": {"kind": "two_atom", "hi": "1"}}, "model field 'hi' must be a number"),
+            ({"kind": "moving_max", "innovations": {"kind": "two_atom", "p_lo": True}}, "model field 'p_lo' must be a number"),
+        ],
+    )
+    def test_model_field_types(self, tmp_path, capsys, model, message):
+        cfg = write_cfg(tmp_path, {"model": model})
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     def test_usage_error_exits_1(self, tmp_path, capsys):
         # --workers is gone; a stale flag is an input error, not a failed verdict (exit 2)
         assert run(["sectorial-test", "--workers", "2", "--out", str(tmp_path / "o")]) == 1
@@ -262,3 +297,46 @@ class TestInputErrors:
         import phantomfields
 
         assert read_summary(tmp_path / "o")["version"] == phantomfields.__version__
+
+
+HEAVY_SCIPY = ("scipy.stats", "scipy.integrate", "scipy.optimize")
+
+
+def test_startup_leaves_out_heavy_scipy(tmp_path):
+    """Importing the CLI and running its commands loads none of HEAVY_SCIPY.
+
+    Each costs 0.2-0.5 s of start-up; the library imports them only inside
+    the branches that use them (the adaptive quadrature oracle). Runs in a
+    fresh interpreter, because the test session has imported them already.
+    """
+    import phantomfields
+
+    runs = {"extremal-index": ["extremal-index"], "beta": ["beta"], "directional-test": ["directional-test"]}
+    models = {
+        "gaussian": {"kind": "gaussian_separable"},
+        "iid-uniform": {"kind": "iid", "marginal": "uniform"},
+        "iid-normal": {"kind": "iid", "marginal": "normal"},
+        "moving-max-uniform": {"kind": "moving_max", "innovations": {"kind": "uniform"}},
+    }
+    for name, model in models.items():
+        runs[f"simulate {name}"] = ["simulate", "--config", write_cfg(tmp_path, {"model": model}, f"{name}.json")]
+    for name, argv in runs.items():
+        argv += ["--out", str(tmp_path / name)]
+    code = (
+        "import json, sys\n"
+        "import phantomfields.cli\n"
+        f"heavy = lambda: [m for m in {HEAVY_SCIPY!r} if m in sys.modules]\n"
+        "out = {'import': heavy()}\n"
+        "for name, argv in json.loads(sys.argv[1]).items():\n"
+        "    out[name] = (phantomfields.cli.main(argv), heavy())\n"
+        "print(json.dumps(out))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(phantomfields.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(runs)], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = json.loads(proc.stdout)
+    assert loaded.pop("import") == []
+    # directional-test exits 2 by design: its non-Gumbel separation verdict fails at defaults
+    expected_code = {name: 2 if name == "directional-test" else 0 for name in runs}
+    assert loaded == {name: [expected_code[name], []] for name in runs}

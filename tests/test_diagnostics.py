@@ -12,7 +12,6 @@ from phantomfields import (
     MovingMaxField,
     TwoAtomInnovations,
     berman_bound,
-    beta_estimate,
     beta_k_estimate,
     bound_vs_empirical,
     curve_diagonal,
@@ -58,7 +57,7 @@ class TestSplitGrids:
 class TestBetaExact:
     def test_iid_factorizes_exactly(self):
         model = IIDField(uniform())
-        rep = beta_estimate(model, curve_diagonal(2), 0.7, T=1.0, n=4, mode="exact")
+        rep = beta_k_estimate(model, curve_diagonal(2), 0.7, T=1.0, n=4, k=2, mode="exact")
         assert rep.mode == "exact"
         assert rep.value <= 1e-12
 
@@ -82,18 +81,19 @@ class TestBetaExact:
                 prod *= probs((split.parts[i1][0], split.parts[i2][1]))
         assert prod == probs((3, 3))
 
-    def test_k2_equals_beta_estimate(self, two_atom_model):
-        a = beta_estimate(two_atom_model, curve_diagonal(2), 0.5, T=1.0, n=3, mode="exact")
-        b = beta_k_estimate(two_atom_model, curve_diagonal(2), 0.5, T=1.0, n=3, k=2, mode="exact")
-        assert a.value == b.value and a.argmax == b.argmax
+    def test_k2_exact_equals_enumeration(self, two_atom_model):
+        splits = exhaustive_splits((3, 3), k=2)
+        rep = beta_k_estimate(two_atom_model, curve_diagonal(2), 0.5, T=1.0, n=3, splits=splits, mode="exact")
+        assert rep.k == 2 and rep.grid_size == len(splits)
+        assert rep.value == pytest.approx(enumeration_beta(two_atom_model, (3, 3), 0.5, k=2), abs=1e-12)
 
     def test_constraint_violation_rejected(self, two_atom_model):
         bad = [BlockSplit(parts=((4, 0), (0, 0)))]
         with pytest.raises(ValueError):
-            beta_estimate(two_atom_model, curve_diagonal(2), 0.5, T=1.0, n=3, splits=bad)
+            beta_k_estimate(two_atom_model, curve_diagonal(2), 0.5, T=1.0, n=3, k=2, splits=bad)
 
     def test_reported_as_lower_bound(self, two_atom_model):
-        rep = beta_estimate(two_atom_model, curve_diagonal(2), 0.5, T=1.0, n=3, mode="exact")
+        rep = beta_k_estimate(two_atom_model, curve_diagonal(2), 0.5, T=1.0, n=3, k=2, mode="exact")
         assert rep.lower_bound_only
         assert rep.to_json()["functional"] == "beta_k2"
 
@@ -142,8 +142,8 @@ class TestEnumerationOracle:
         # 1-dependent moving-max field: MC beta vs exhaustive enumeration
         splits = exhaustive_splits((3, 3), k=2)
         reps = 4000
-        mc = beta_estimate(
-            two_atom_model, curve_diagonal(2), 0.5, T=1.0, n=3,
+        mc = beta_k_estimate(
+            two_atom_model, curve_diagonal(2), 0.5, T=1.0, n=3, k=2,
             splits=splits, reps=reps, seed=17, mode="mc",
         )
         exact = enumeration_beta(two_atom_model, (3, 3), 0.5, k=2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import dpotrf
 from scipy.special import ndtr
-from scipy.stats import ks_2samp, uniform
+from scipy.stats import ks_2samp, norm, uniform
 
 from phantomfields import (
     CharacteristicPolygon,
@@ -19,11 +19,9 @@ from phantomfields import (
     equicorrelated_max_cdf,
     example_covariance,
     replication_rng,
-    sample_equicorrelated_max,
-    sample_gaussian_separable,
 )
 from phantomfields.covariance import SeparableCovariance, from_config
-from phantomfields.sampling import dump_csv, toeplitz_cholesky
+from phantomfields.sampling import _NormalMarginal, _UniformMarginal, dump_csv, toeplitz_cholesky
 
 
 def toeplitz_target(poly, n):
@@ -73,11 +71,11 @@ class TestGaussianSampler:
                 se = math.sqrt((1.0 + r * r) / reps)
                 assert abs(emp[a, b] - r) < 5.0 * se
 
-    def test_reproducible(self, cov):
-        a = sample_gaussian_separable(cov, (6, 7), seed=99)
-        b = sample_gaussian_separable(cov, (6, 7), seed=99)
+    def test_reproducible(self, gauss):
+        a = gauss.sample((6, 7), seed=99)
+        b = gauss.sample((6, 7), seed=99)
         assert np.array_equal(a.values, b.values)
-        c = sample_gaussian_separable(cov, (6, 7), seed=100)
+        c = gauss.sample((6, 7), seed=100)
         assert not np.array_equal(a.values, c.values)
 
     @pytest.mark.parametrize("kind", ["gaussian_separable", "moving_max", "iid"])
@@ -164,6 +162,29 @@ class TestGaussianExactness:
         for poly, n in zip(cov.axes, dims):
             target = np.kron(target, toeplitz_target(poly, n))
         assert np.max(np.abs(A @ A.T - target)) <= 1e-12
+
+
+MARGINAL_PAIRS = [(_UniformMarginal(), uniform()), (_NormalMarginal(), norm())]
+
+
+class TestBuiltinMarginals:
+    """The marginals the CLI builds give scipy.stats' values without importing it."""
+
+    @pytest.mark.parametrize("ours, theirs", MARGINAL_PAIRS)
+    def test_rvs_bit_identical(self, ours, theirs):
+        for seed in (0, 7, 20240901):
+            for size in (None, 5, (3, 4), (2, 3, 4)):
+                a = ours.rvs(size=size, random_state=np.random.default_rng(seed))
+                b = theirs.rvs(size=size, random_state=np.random.default_rng(seed))
+                assert np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b, dtype=np.float64).tobytes()
+
+    @pytest.mark.parametrize("ours, theirs", MARGINAL_PAIRS)
+    def test_cdf_and_ppf_equal(self, ours, theirs):
+        x = np.concatenate([np.linspace(-3.0, 4.0, 701), [0.0, 1.0, -1e300, 1e300, -np.inf, np.inf]])
+        assert np.array_equal(ours.cdf(x), theirs.cdf(x))
+        q = np.concatenate([np.linspace(0.0, 1.0, 1001), [1e-300, 1.0 - 1e-16]])
+        assert np.array_equal(ours.ppf(q), theirs.ppf(q))
+        assert ours.cdf(0.25) == theirs.cdf(0.25) and ours.ppf(0.25) == theirs.ppf(0.25)
 
 
 class TestMovingMax:
@@ -254,9 +275,8 @@ class TestEquicorrelated:
         assert abs(np.mean(m <= 2.5) - q) < 0.01
 
     def test_scalar_draw_reproducible(self):
-        assert sample_equicorrelated_max(50, 0.2, seed=3) == sample_equicorrelated_max(
-            50, 0.2, seed=3
-        )
+        a = equicorrelated_maxes(50, 0.2, 1, seed=3)
+        assert a.shape == (1,) and np.array_equal(a, equicorrelated_maxes(50, 0.2, 1, seed=3))
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
