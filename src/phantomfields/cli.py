@@ -33,15 +33,12 @@ from .sampling import (
     _NormalMarginal,
     _UniformMarginal,
     dump_csv,
+    sub_seed as _sub_seed,
 )
 
 
 class ConfigError(ValueError):
     pass
-
-
-def _sub_seed(seed: int, tag: int) -> int:
-    return int(np.random.SeedSequence([seed, tag]).generate_state(1, np.uint64)[0])
 
 
 # fields whose null is meaningful: beta's level and extremal-index's expected_theta
@@ -143,9 +140,25 @@ def _model_field(cfg: dict, key: str, default):
     return value
 
 
+def _only_fields(cfg: dict, what: str, fields) -> None:
+    """Reject a key of ``cfg`` that ``what`` does not use: it would be ignored silently."""
+    for key in cfg:
+        if key != "kind" and key not in fields:
+            raise ConfigError(f"model field {key!r} is not used by {what}")
+
+
+# the fields each model kind and innovations kind reads, besides "kind"
+MODEL_FIELDS = {
+    "gaussian_separable": ("gamma1", "gamma2"),
+    "iid": ("marginal",),
+    "moving_max": ("window", "innovations"),
+}
+INNOVATION_FIELDS = {"uniform": (), "two_atom": ("lo", "hi", "p_lo")}
+
+
 def _model_from_config(cfg: dict):
-    kinds = ("gaussian_separable", "iid", "moving_max")
-    kind = _choice("model kind", cfg.get("kind", "gaussian_separable"), kinds)
+    kind = _choice("model kind", cfg.get("kind", "gaussian_separable"), tuple(MODEL_FIELDS))
+    _only_fields(cfg, f"model kind {kind}", MODEL_FIELDS[kind])
     if kind == "gaussian_separable":
         g = GammaPair(float(_model_field(cfg, "gamma1", 0.26)), float(_model_field(cfg, "gamma2", 0.10)))
         return GaussianSeparableField(example_covariance(g))
@@ -155,7 +168,9 @@ def _model_from_config(cfg: dict):
         marg = _choice("iid marginal", cfg.get("marginal", "uniform"), ("uniform", "normal"))
         return IIDField({"uniform": _UniformMarginal, "normal": _NormalMarginal}[marg]())
     icfg = _model_field(cfg, "innovations", {"kind": "uniform"})
-    if _choice("innovations kind", icfg.get("kind", "uniform"), ("uniform", "two_atom")) == "uniform":
+    ikind = _choice("innovations kind", icfg.get("kind", "uniform"), tuple(INNOVATION_FIELDS))
+    _only_fields(icfg, f"innovations kind {ikind}", INNOVATION_FIELDS[ikind])
+    if ikind == "uniform":
         innov = _UniformMarginal()
     else:
         innov = TwoAtomInnovations(
@@ -181,18 +196,29 @@ SECTORIAL_DEFAULTS = {
 }
 
 
+def _grid_maxes(model, cfg: dict) -> np.ndarray:
+    """Block maxima over the n x n squares of ``n_grid``, one row per n.
+
+    Each replication is drawn once, on the largest square, from the stream
+    of that square's n; every smaller square is its corner.
+    """
+    ns = cfg["n_grid"]
+    return model.nested_maxes([(n, n) for n in ns], cfg["reps"], _sub_seed(cfg["seed"], max(ns)))
+
+
 def cmd_sectorial_test(cfg: dict, out: str) -> int:
     """Distance of the example field along the diagonal from powered Phi,
     with the comparison-bound domination check folded into the same rows."""
     model = GaussianSeparableField(example_covariance(GammaPair(cfg["gamma1"], cfg["gamma2"])))
     phi = phantom.normal_candidate()
+    maxes = _grid_maxes(model, cfg)
     rows = []
     dists, ses, berman_ok = [], [], []
-    for n in cfg["n_grid"]:
-        law = phantom.empirical_max_law(model, (n, n), cfg["reps"], _sub_seed(cfg["seed"], n))
+    for n, m in zip(cfg["n_grid"], maxes):
+        law = phantom.EmpiricalLaw(np.sort(m), cfg["reps"])
         rep = phantom.phantom_distance(law, phi, n * n)
         u = phantom.levels_u(cfg["c"], n)
-        g = diagnostics.bound_vs_maxima(model.cov, law.values, n, u)
+        g = diagnostics.bound_vs_maxima(model.cov, m, n, u)
         dists.append(rep.value)
         ses.append(rep.se)
         berman_ok.append(g.verdict)
@@ -360,13 +386,14 @@ BERMAN_DEFAULTS = {
 
 def cmd_berman(cfg: dict, out: str) -> int:
     model = GaussianSeparableField(example_covariance(GammaPair(cfg["gamma1"], cfg["gamma2"])))
+    maxes = _grid_maxes(model, cfg) if cfg["reps"] > 0 else None
     rows = []
     all_ok = True
-    for n in cfg["n_grid"]:
+    for i, n in enumerate(cfg["n_grid"]):
         u = phantom.levels_u(cfg["c"], n)
         b = diagnostics.berman_bound(model.cov, n, u)
         if cfg["reps"] > 0:
-            g = diagnostics.bound_vs_empirical(model, n, u, cfg["reps"], _sub_seed(cfg["seed"], n))
+            g = diagnostics.bound_vs_maxima(model.cov, maxes[i], n, u)
             all_ok = all_ok and g.verdict
             rows.append((n, u, b.total, b.sigma1, b.sigma2, b.alpha, g.gap, g.se, g.verdict))
         else:

@@ -17,12 +17,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from . import kernels
 from .covariance import SeparableCovariance, delta_sup
 from .lattice import MonotoneCurve
-from .sampling import TwoAtomInnovations
+from .sampling import TwoAtomInnovations, _NormalMarginal
 
 
 @dataclass(frozen=True)
@@ -353,7 +352,7 @@ def bound_vs_maxima(c: SeparableCovariance, maxes, n: int, u: float) -> GapRepor
     """
     reps = len(maxes)
     p_hat = float(np.mean(np.asarray(maxes) <= u))
-    target = float(np.exp(n * n * log_ndtr(u)))
+    target = float(np.exp(n * n * _NormalMarginal().log_cdf(u)))
     gap = abs(p_hat - target)
     se = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / reps) / reps)
     b = berman_bound(c, n, u).total

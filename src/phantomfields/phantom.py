@@ -16,12 +16,13 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri
 
 from .lattice import MonotoneCurve
+from .sampling import _NormalMarginal, sub_seed
 
 GH_NODES = 200
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
+_PHI = _NormalMarginal()
 
 
 def _normal_pdf(z):
@@ -72,7 +73,7 @@ class PhantomCandidate:
 
 
 def normal_candidate() -> PhantomCandidate:
-    return PhantomCandidate(cdf=ndtr, log_cdf=log_ndtr, ppf=ndtri, name="Phi")
+    return PhantomCandidate(cdf=_PHI.cdf, log_cdf=_PHI.log_cdf, ppf=_PHI.ppf, name="Phi")
 
 
 def uniform_candidate() -> PhantomCandidate:
@@ -141,6 +142,10 @@ class EmpiricalLaw:
     reps: int
     provenance: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.reps < 1:
+            raise ValueError("reps must be >= 1")
+
     @property
     def breakpoints(self) -> np.ndarray:
         return self.values
@@ -178,8 +183,6 @@ class ExactLaw:
 
 def empirical_max_law(model, dims, reps: int, seed: int) -> EmpiricalLaw:
     """reps independent draws of M_dims under the model; deterministic per seed."""
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
     maxes = np.sort(model.block_maxes(tuple(dims), reps, seed))
     prov = {"model": model.name, "dims": tuple(dims), "reps": reps, "seed": seed}
     return EmpiricalLaw(values=maxes, reps=reps, provenance=prov)
@@ -268,7 +271,6 @@ class LevelSequence:
     n_values: np.ndarray
     psi_star: np.ndarray
     levels: np.ndarray
-    repair_violations: int = 0
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -293,30 +295,24 @@ def estimate_level_sequence(
     reps: int,
     seed: int,
 ) -> LevelSequence:
-    """Empirical gamma-quantiles of M_psi(n), rendered nondecreasing.
+    """Empirical gamma-quantiles of M_psi(n), n = n_min..horizon, off one draw per replication.
 
-    The raw quantile is the order statistic at ceil(gamma * reps); the
-    running-max repair enforces monotonicity and the number of repaired
-    entries is recorded (a diagnostic, not an error).
+    Each replication is drawn once on psi(horizon), from the stream
+    ``sub_seed(seed, horizon)``, and M_psi(n) is read off its corner (see
+    ``FieldModel.nested_maxes``). The level is the order statistic at
+    ceil(gamma * reps). The curve's rectangles are nested, so every
+    replication's maxima, and hence the levels, are nondecreasing in n.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must be in (0, 1)")
     pts = curve.table(horizon)
-    n_values = np.arange(curve.n_min, horizon + 1)
-    raw = np.empty(len(pts))
-    for i, dims in enumerate(pts):
-        sub = int(np.random.SeedSequence([seed, int(n_values[i])]).generate_state(1, np.uint64)[0])
-        law = empirical_max_law(model, tuple(int(x) for x in dims), reps, sub)
-        raw[i] = law.quantile(gamma)
-    repaired = np.maximum.accumulate(raw)
-    violations = int(np.sum(raw < repaired))
+    maxes = model.nested_maxes(pts, reps, sub_seed(seed, horizon))
     return LevelSequence(
         curve=curve,
         gamma=gamma,
-        n_values=n_values,
+        n_values=np.arange(curve.n_min, horizon + 1),
         psi_star=np.prod(pts, axis=1),
-        levels=repaired,
-        repair_violations=violations,
+        levels=np.array([EmpiricalLaw(np.sort(m), reps).quantile(gamma) for m in maxes]),
         provenance={"model": model.name, "reps": reps, "seed": seed, "mode": "mc"},
     )
 
@@ -336,7 +332,6 @@ def exact_level_sequence(model, curve: MonotoneCurve, gamma: float, horizon: int
         n_values=np.arange(curve.n_min, horizon + 1),
         psi_star=np.prod(pts, axis=1),
         levels=np.maximum.accumulate(levels),
-        repair_violations=0,
         provenance={"model": model.name, "mode": "exact"},
     )
 
@@ -344,7 +339,7 @@ def exact_level_sequence(model, curve: MonotoneCurve, gamma: float, horizon: int
 def construct_G_psi(levels: LevelSequence) -> StepPhantom:
     """The step-function candidate of the level sequence.
 
-    Tied consecutive levels (produced by the running-max repair or by
+    Tied consecutive levels (equal order statistics of nested maxima, or
     stalling curve points) make the earlier branch intervals empty; the
     candidate is built on the distinct level values with the exponent of
     the branch that owns each value.
@@ -366,7 +361,7 @@ def levels_u(c: float, n: int) -> float:
     """
     if not 0.0 < c < n * n:
         raise ValueError(f"need 0 < c < n^2 = {n * n}")
-    return float(-ndtri(c / (n * n)))
+    return float(-_PHI.ppf(c / (n * n)))
 
 
 def normalizers(n) -> tuple[float, float]:
@@ -450,14 +445,14 @@ def equicorrelated_max_cdf(
     scalar = w_arr.ndim == 0
     wv = np.atleast_1d(w_arr)
     if rho == 0.0:
-        out = np.exp(N * log_ndtr(wv))
+        out = np.exp(N * _PHI.log_cdf(wv))
     elif method == "adaptive":
         from scipy import integrate
 
         out = np.array(
             [
                 integrate.quad(
-                    lambda z: math.exp(N * log_ndtr((wi - math.sqrt(rho) * z) / math.sqrt(1 - rho)))
+                    lambda z: math.exp(N * _PHI.log_cdf((wi - math.sqrt(rho) * z) / math.sqrt(1 - rho)))
                     * _normal_pdf(z),
                     -np.inf,
                     np.inf,
@@ -470,7 +465,7 @@ def equicorrelated_max_cdf(
     else:
         z, wts = _gh_nodes(nodes)
         arg = (wv[:, None] - math.sqrt(rho) * z[None, :]) / math.sqrt(1.0 - rho)
-        out = np.exp(N * log_ndtr(arg)) @ wts
+        out = np.exp(N * _PHI.log_cdf(arg)) @ wts
     out = np.clip(out, 0.0, 1.0)
     return float(out[0]) if scalar else out
 

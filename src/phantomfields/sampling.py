@@ -5,6 +5,10 @@ draws from the generator seeded by SeedSequence([s, r]), so any chunking
 of the replication range produces bit-identical output. Every Monte-Carlo
 consumer draws its replications through ``FieldModel.batches``, one chunk
 at a time.
+
+scipy is imported inside the functions that use it (``dtrmm`` in the
+Gaussian transform, ``ndtr``/``log_ndtr``/``ndtri`` in the normal law), so
+importing the package loads none of it.
 """
 
 from __future__ import annotations
@@ -13,8 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dtrmm
-from scipy.special import log_ndtr, ndtr, ndtri
 
 from . import kernels
 from .covariance import CharacteristicPolygon, SeparableCovariance
@@ -37,6 +39,11 @@ class FactorizationError(RuntimeError):
 def replication_rng(seed: int, rep: int) -> np.random.Generator:
     """Independent substream for replication ``rep`` of master ``seed``."""
     return np.random.default_rng(np.random.SeedSequence([seed, rep]))
+
+
+def sub_seed(seed: int, tag: int) -> int:
+    """A master seed derived from ``seed`` for the draws tagged ``tag`` (e.g. a grid's largest n)."""
+    return int(np.random.SeedSequence([seed, tag]).generate_state(1, np.uint64)[0])
 
 
 @dataclass(frozen=True)
@@ -65,8 +72,8 @@ def dump_csv(sample: FieldSample, path) -> None:
 # Anything with the scipy frozen-distribution trio (cdf, ppf, rvs) works.
 # The built-in uniform and normal marginals give the same values as scipy's
 # frozen uniform() and norm() and draw straight from the generator, so the
-# CLI never imports scipy.stats; TwoAtomInnovations implements the same
-# surface for the enumeration oracle.
+# CLI never imports scipy.stats, and their draws load no scipy at all;
+# TwoAtomInnovations implements the same surface for the enumeration oracle.
 # ---------------------------------------------------------------------------
 
 
@@ -85,15 +92,21 @@ class _UniformMarginal:
 
 
 class _NormalMarginal:
-    """The standard normal law."""
+    """The standard normal law; every normal cdf, log-cdf and quantile goes through it."""
 
     def cdf(self, x):
+        from scipy.special import ndtr
+
         return ndtr(x)
 
     def log_cdf(self, x):
+        from scipy.special import log_ndtr
+
         return log_ndtr(x)
 
     def ppf(self, q):
+        from scipy.special import ndtri
+
         return ndtri(q)
 
     def rvs(self, size=None, random_state=None):
@@ -146,7 +159,9 @@ class FieldModel:
     A model implements one draw method, ``_batch(dims, rngs)``: the draws
     of the replications with substreams ``rngs``, stacked (R, *dims). Draws
     go through ``sample_values`` or ``batches``, which reject empty
-    rectangles before ``_batch`` runs.
+    rectangles before ``_batch`` runs. Block maxima go through
+    ``nested_maxes``, which reads every rectangle of a grid or curve off
+    one draw of the largest.
     """
 
     name = "field"
@@ -187,11 +202,30 @@ class FieldModel:
         values = self.sample_values(dims, replication_rng(seed, rep))
         return FieldSample(dims=tuple(dims), values=values, seed=seed)
 
+    def nested_maxes(self, rects, reps: int, seed: int, chunk: int = DEFAULT_CHUNK) -> np.ndarray:
+        """M over each origin-anchored rectangle of ``rects``, shape (len(rects), reps).
+
+        Replication r is drawn once, from ``replication_rng(seed, r)``, on
+        the componentwise-largest rectangle, and M over each rectangle is
+        the max over its corner of that draw. A row is therefore never
+        above the row of a rectangle that contains it, and the values do
+        not depend on ``chunk``.
+        """
+        rects = [_rectangle(r) for r in rects]
+        if not rects or len({len(r) for r in rects}) != 1:
+            raise ValueError("rects must be a nonempty list of rectangles of one dimension")
+        box = tuple(max(n) for n in zip(*rects))
+        corners = [(slice(None),) + tuple(slice(0, n) for n in r) for r in rects]
+        axes = tuple(range(1, len(box) + 1))
+        # map drops each chunk before it draws the next, so one chunk is alive
+        # at a time (a loop over zip(range(...), batches) keeps two)
+        reduce = lambda x: np.stack([x[corner].max(axis=axes) for corner in corners])
+        parts = list(map(reduce, self.batches(box, reps, seed, chunk)))
+        return np.concatenate(parts, axis=1) if parts else np.empty((len(rects), 0))
+
     def block_maxes(self, dims, reps: int, seed: int, chunk: int = DEFAULT_CHUNK) -> np.ndarray:
         """reps independent draws of M_dims; identical for any chunk size."""
-        axes = tuple(range(1, len(dims) + 1))
-        parts = list(map(lambda x: x.max(axis=axes), self.batches(dims, reps, seed, chunk)))
-        return np.concatenate(parts) if parts else np.empty(0)
+        return self.nested_maxes([dims], reps, seed, chunk)[0]
 
 
 class IIDField(FieldModel):
@@ -330,6 +364,8 @@ class GaussianSeparableField(FieldModel):
     @staticmethod
     def _transform(x, factors):
         """Mode-i product of x (laid out (n0, R, n1, ...)) with each factor, in place."""
+        from scipy.linalg.blas import dtrmm
+
         n0 = x.shape[0]
         # a C-ordered (rows, cols) view is the Fortran-ordered transpose, so
         # L @ V is computed as V^T <- V^T L^T and V @ L^T as V^T <- L V^T

@@ -50,19 +50,27 @@ class TestSectorial:
             tmp_path / "b" / "results.csv"
         ).read_bytes()
 
-    def test_berman_columns_match_bound_vs_empirical(self, tmp_path):
+    def test_berman_columns_match_nested_maxes(self, tmp_path):
+        # one draw per replication on the largest square, from that square's
+        # stream; each row's Berman columns are bound_vs_maxima on its corner
         from phantomfields import GaussianSeparableField, example_covariance, levels_u
         from phantomfields.cli import _sub_seed
-        from phantomfields.diagnostics import bound_vs_empirical
+        from phantomfields.diagnostics import bound_vs_maxima
 
         cfg = write_cfg(tmp_path, SMALL_SECTORIAL)
         run(["sectorial-test", "--config", cfg, "--out", str(tmp_path / "o")])
+        run(["berman", "--config", cfg, "--out", str(tmp_path / "b")])
         model = GaussianSeparableField(example_covariance())
+        ns = SMALL_SECTORIAL["n_grid"]
+        maxes = model.nested_maxes([(n, n) for n in ns], 300, _sub_seed(5, max(ns)))
         lines = (tmp_path / "o" / "results.csv").read_text().splitlines()[1:]
-        for n, line in zip(SMALL_SECTORIAL["n_grid"], lines):
-            g = bound_vs_empirical(model, n, levels_u(1.0, n), 300, _sub_seed(5, n))
+        berman = (tmp_path / "b" / "results.csv").read_text().splitlines()[1:]
+        assert len(lines) == len(berman) == len(ns)
+        for n, m, line, b_line in zip(ns, maxes, lines, berman):
+            g = bound_vs_maxima(model.cov, m, n, levels_u(1.0, n))
             expected = [repr(g.p_hat), repr(g.target), repr(g.gap), repr(g.bound), str(g.verdict).lower()]
             assert line.split(",")[7:] == expected
+            assert b_line.split(",")[6] == line.split(",")[9]  # berman's gap column
 
     def test_flag_overrides_config(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_SECTORIAL)
@@ -284,6 +292,29 @@ class TestInputErrors:
         assert err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "model, message",
+        [
+            ({"kind": "moving_max", "windw": [3, 3]}, "model field 'windw' is not used by model kind moving_max"),
+            (
+                {"kind": "gaussian_separable", "window": [2, 2]},
+                "model field 'window' is not used by model kind gaussian_separable",
+            ),
+            ({"kind": "iid", "gamma1": 0.3}, "model field 'gamma1' is not used by model kind iid"),
+            (
+                {"kind": "moving_max", "innovations": {"kind": "uniform", "p_lo": 0.3}},
+                "model field 'p_lo' is not used by innovations kind uniform",
+            ),
+        ],
+    )
+    def test_unknown_model_field(self, tmp_path, capsys, model, message):
+        # a misspelled or foreign key would otherwise run silently with the default
+        cfg = write_cfg(tmp_path, {"model": model, "dims": [3, 3]})
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / "o" / "field.csv").exists()
+
     def test_usage_error_exits_1(self, tmp_path, capsys):
         # --workers is gone; a stale flag is an input error, not a failed verdict (exit 2)
         assert run(["sectorial-test", "--workers", "2", "--out", str(tmp_path / "o")]) == 1
@@ -303,40 +334,49 @@ HEAVY_SCIPY = ("scipy.stats", "scipy.integrate", "scipy.optimize")
 
 
 def test_startup_leaves_out_heavy_scipy(tmp_path):
-    """Importing the CLI and running its commands loads none of HEAVY_SCIPY.
+    """Importing the CLI loads no scipy, and each command only the submodules it uses.
 
-    Each costs 0.2-0.5 s of start-up; the library imports them only inside
-    the branches that use them (the adaptive quadrature oracle). Runs in a
-    fresh interpreter, because the test session has imported them already.
+    Gaussian draws use scipy.linalg (``dtrmm``) and the normal law
+    scipy.special (``ndtr``, ``log_ndtr``, ``ndtri``); nothing else in a
+    command needs scipy, and HEAVY_SCIPY costs 0.2-0.5 s of start-up each.
+    Each command runs in its own fresh interpreter, because the test session
+    has imported all of these already.
     """
     import phantomfields
 
-    runs = {"extremal-index": ["extremal-index"], "beta": ["beta"], "directional-test": ["directional-test"]}
-    models = {
-        "gaussian": {"kind": "gaussian_separable"},
-        "iid-uniform": {"kind": "iid", "marginal": "uniform"},
-        "iid-normal": {"kind": "iid", "marginal": "normal"},
-        "moving-max-uniform": {"kind": "moving_max", "innovations": {"kind": "uniform"}},
+    # name -> (argv, the scipy submodules the command may and must load)
+    runs = {
+        "extremal-index": (["extremal-index"], ()),
+        "beta": (["beta"], ()),
+        "directional-test": (["directional-test"], ("scipy.special",)),
     }
-    for name, model in models.items():
-        runs[f"simulate {name}"] = ["simulate", "--config", write_cfg(tmp_path, {"model": model}, f"{name}.json")]
-    for name, argv in runs.items():
-        argv += ["--out", str(tmp_path / name)]
+    models = {
+        "gaussian": ({"kind": "gaussian_separable"}, ("scipy.linalg",)),
+        "iid-uniform": ({"kind": "iid", "marginal": "uniform"}, ()),
+        "iid-normal": ({"kind": "iid", "marginal": "normal"}, ()),
+        "moving-max-uniform": ({"kind": "moving_max", "innovations": {"kind": "uniform"}}, ()),
+    }
+    for name, (model, uses) in models.items():
+        cfg = write_cfg(tmp_path, {"model": model}, f"{name}.json")
+        runs[f"simulate {name}"] = (["simulate", "--config", cfg], uses)
     code = (
         "import json, sys\n"
         "import phantomfields.cli\n"
-        f"heavy = lambda: [m for m in {HEAVY_SCIPY!r} if m in sys.modules]\n"
-        "out = {'import': heavy()}\n"
-        "for name, argv in json.loads(sys.argv[1]).items():\n"
-        "    out[name] = (phantomfields.cli.main(argv), heavy())\n"
-        "print(json.dumps(out))\n"
+        "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "at_import = scipy()\n"
+        "print(json.dumps([at_import, phantomfields.cli.main(sys.argv[1:]), scipy()]))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(phantomfields.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-c", code, json.dumps(runs)], env=env, capture_output=True, text=True, check=True
-    )
-    loaded = json.loads(proc.stdout)
-    assert loaded.pop("import") == []
-    # directional-test exits 2 by design: its non-Gumbel separation verdict fails at defaults
-    expected_code = {name: 2 if name == "directional-test" else 0 for name in runs}
-    assert loaded == {name: [expected_code[name], []] for name in runs}
+    for name, (argv, uses) in runs.items():
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv, "--out", str(tmp_path / name)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        at_import, exit_code, loaded = json.loads(proc.stdout)
+        assert at_import == [], name
+        # directional-test exits 2 by design: its non-Gumbel separation verdict fails at defaults
+        assert exit_code == (2 if name == "directional-test" else 0), name
+        if not uses:
+            assert loaded == [], name
+        for sub in ("scipy.linalg", "scipy.special") + HEAVY_SCIPY:
+            assert (sub in loaded) == (sub in uses), (name, sub)

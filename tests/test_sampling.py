@@ -92,6 +92,15 @@ class TestGaussianSampler:
         single = [model.sample_values(dims, replication_rng(3, r)).max() for r in range(reps)]
         assert np.array_equal(np.array(single), ref)
 
+    def test_block_maxes_keeps_its_reduction(self, gauss):
+        # block_maxes is nested_maxes on one rectangle; the values are the
+        # per-chunk reduction it always was, bit for bit
+        models = (gauss, MovingMaxField((2, 3), uniform()), IIDField(uniform()))
+        for model, dims in zip(models, ((9, 5), (6, 4), (3, 7))):
+            for chunk in (7, 256):
+                parts = [x.max(axis=(1, 2)) for x in model.batches(dims, 50, 8, chunk)]
+                assert np.array_equal(model.block_maxes(dims, 50, seed=8, chunk=chunk), np.concatenate(parts))
+
     def test_degenerate_polygon_rejected(self):
         flat = CharacteristicPolygon(
             knots_t=np.array([0.0, 1.0]), knots_v=np.array([1.0, 1.0])
@@ -162,6 +171,51 @@ class TestGaussianExactness:
         for poly, n in zip(cov.axes, dims):
             target = np.kron(target, toeplitz_target(poly, n))
         assert np.max(np.abs(A @ A.T - target)) <= 1e-12
+
+
+class TestNestedMaxes:
+    RECTS = [(5, 3), (2, 2), (7, 4), (7, 1), (1, 4)]  # the largest, (7, 4), is listed third
+
+    @staticmethod
+    def model(kind, gauss):
+        return {
+            "gaussian_separable": gauss,
+            "moving_max": MovingMaxField((2, 3), uniform()),
+            "iid": IIDField(uniform()),
+        }[kind]
+
+    @pytest.mark.parametrize("kind", ["gaussian_separable", "moving_max", "iid"])
+    def test_rows_are_corners_of_one_draw(self, gauss, kind):
+        model = self.model(kind, gauss)
+        got = model.nested_maxes(self.RECTS, 30, seed=4)
+        assert got.shape == (len(self.RECTS), 30)
+        for r in range(30):
+            field = model.sample_values((7, 4), replication_rng(4, r))
+            assert np.array_equal(got[:, r], [field[:a, :b].max() for a, b in self.RECTS])
+
+    @pytest.mark.parametrize("kind", ["gaussian_separable", "moving_max", "iid"])
+    def test_chunk_invariance(self, gauss, kind):
+        model = self.model(kind, gauss)
+        ref = model.nested_maxes(self.RECTS, 40, seed=6, chunk=16)
+        for chunk in (7, 256):
+            assert np.array_equal(model.nested_maxes(self.RECTS, 40, seed=6, chunk=chunk), ref)
+
+    def test_contained_rectangle_never_above(self, gauss):
+        squares = [(n, n) for n in (2, 4, 8, 16)]
+        for model in (gauss, MovingMaxField((2, 2), uniform()), IIDField(norm())):
+            m = model.nested_maxes(squares, 200, seed=9)
+            assert np.all(np.diff(m, axis=0) >= 0)
+            strict = [np.any(np.diff(m, axis=0)[i] > 0) for i in range(len(squares) - 1)]
+            assert all(strict)  # the rows are not one copied row
+
+    def test_largest_rectangle_row_is_block_maxes(self, gauss):
+        m = gauss.nested_maxes([(4, 4), (12, 12)], 100, seed=2)
+        assert np.array_equal(m[1], gauss.block_maxes((12, 12), 100, seed=2))
+
+    @pytest.mark.parametrize("rects", [[], [(3, 3), (3,)], [(3, 0)]])
+    def test_rejects_bad_rectangles(self, gauss, rects):
+        with pytest.raises(ValueError):
+            gauss.nested_maxes(rects, 10, seed=1)
 
 
 MARGINAL_PAIRS = [(_UniformMarginal(), uniform()), (_NormalMarginal(), norm())]
