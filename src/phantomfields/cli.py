@@ -131,20 +131,20 @@ def _choice(what: str, value, allowed):
     return value
 
 
-def _model_field(cfg: dict, key: str, default):
+def _model_field(cfg: dict, key: str, default, part: str = "model"):
     """``cfg[key]`` (``default`` if absent), typed like a config field; a ConfigError names the field."""
     value = cfg.get(key, default)
     why = _type_error(value, default)
     if why:
-        raise ConfigError(f"model field {key!r} {why}, got {json.dumps(value)}")
+        raise ConfigError(f"{part} field {key!r} {why}, got {json.dumps(value)}")
     return value
 
 
-def _only_fields(cfg: dict, what: str, fields) -> None:
+def _only_fields(cfg: dict, what: str, fields, part: str = "model") -> None:
     """Reject a key of ``cfg`` that ``what`` does not use: it would be ignored silently."""
     for key in cfg:
         if key != "kind" and key not in fields:
-            raise ConfigError(f"model field {key!r} is not used by {what}")
+            raise ConfigError(f"{part} field {key!r} is not used by {what}")
 
 
 # the fields each model kind and innovations kind reads, besides "kind"
@@ -154,6 +154,7 @@ MODEL_FIELDS = {
     "moving_max": ("window", "innovations"),
 }
 INNOVATION_FIELDS = {"uniform": (), "two_atom": ("lo", "hi", "p_lo")}
+CURVE_FIELDS = {"diagonal": ("d",), "psi_example": (), "table": ("table",)}
 
 
 def _model_from_config(cfg: dict):
@@ -180,6 +181,23 @@ def _model_from_config(cfg: dict):
         )
     # MovingMaxField rejects a window entry of 0
     return MovingMaxField(_model_field(cfg, "window", [2, 2]), innov)
+
+
+def _curve_from_config(cfg: dict):
+    kind = _choice("curve kind", cfg.get("kind", "diagonal"), tuple(CURVE_FIELDS))
+    _only_fields(cfg, f"curve kind {kind}", CURVE_FIELDS[kind], "curve")
+    if kind == "diagonal":
+        _model_field(cfg, "d", 2, "curve")
+    if kind == "table":
+        # no default: each point is a nonempty list of integers, all of one length
+        points = cfg.get("table")
+        ok = type(points) is list and points and not any(_type_error(p, [1]) for p in points)
+        if not ok or len(set(map(len, points))) != 1:
+            raise ConfigError(
+                "curve field 'table' must be a nonempty list of equal-length nonempty lists "
+                f"of nonnegative integers, got {json.dumps(points)}"
+            )
+    return curve_from_config(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +352,7 @@ BETA_DEFAULTS = {
 
 def cmd_beta(cfg: dict, out: str) -> int:
     model = _model_from_config(cfg["model"])
-    curve = curve_from_config(cfg["curve"])
+    curve = _curve_from_config(cfg["curve"])
     n, k, T = cfg["n"], cfg["k"], cfg["T"]
     if cfg.get("level") is not None:
         levels = float(cfg["level"])

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .lattice import MonotoneCurve
-from .sampling import _NormalMarginal, sub_seed
+from .sampling import _NormalMarginal, _rectangle, sub_seed
 
 GH_NODES = 200
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -503,7 +503,9 @@ def estimate_extremal_index(model, dims, gamma_in: float = math.exp(-1.0)) -> In
     gamma_or = P(M_dims <= v) from the model's exact block-max law, and
     returns the log ratio.
     """
-    dims = tuple(dims)
+    dims = _rectangle(dims)
+    if not 0.0 < gamma_in < 1.0:
+        raise InconsistentIndexError(f"gamma_in must lie in (0, 1), got {gamma_in}")
     n_star = int(np.prod(dims))
     v = float(model.marginal_ppf(gamma_in ** (1.0 / n_star)))
     g_or = model.exact_block_max_cdf(dims, v)

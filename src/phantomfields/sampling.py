@@ -1,10 +1,19 @@
 """Exact samplers for the field models and their oracle laws.
 
 Models share one RNG contract: replication r of a run with master seed s
-draws from the generator seeded by SeedSequence([s, r]), so any chunking
-of the replication range produces bit-identical output. Every Monte-Carlo
-consumer draws its replications through ``FieldModel.batches``, one chunk
-at a time.
+draws from the generator seeded by SeedSequence([s, r]), so the values do
+not depend on how the replication range is split into chunks. The iid and
+moving-max draws are bit-identical under any split; the Gaussian transform
+is a BLAS product whose rounding can depend on where a replication sits in
+its chunk, so its draws agree to the last bit or two (bit for bit at the
+shapes the tests pin).
+
+Every Monte-Carlo consumer draws its replications through
+``FieldModel.batches``, one chunk at a time. A chunk holds as many
+replications as fit in ``CHUNK_BYTES`` of float64 draws, and at least one.
+8 MiB stays about cache-sized through the fill, the transform and the
+reduction, and memory grows neither with the replication count nor with
+the rectangle, beyond one replication.
 
 scipy is imported inside the functions that use it (``dtrmm`` in the
 Gaussian transform, ``ndtr``/``log_ndtr``/``ndtri`` in the normal law), so
@@ -21,7 +30,7 @@ import numpy as np
 from . import kernels
 from .covariance import CharacteristicPolygon, SeparableCovariance
 
-DEFAULT_CHUNK = 256
+CHUNK_BYTES = 8 << 20
 
 
 class FactorizationError(RuntimeError):
@@ -39,6 +48,23 @@ class FactorizationError(RuntimeError):
 def replication_rng(seed: int, rep: int) -> np.random.Generator:
     """Independent substream for replication ``rep`` of master ``seed``."""
     return np.random.default_rng(np.random.SeedSequence([seed, rep]))
+
+
+class _Substreams:
+    """The substreams of replications ``reps`` of ``seed``, each made as it is reached.
+
+    Iterating makes one generator at a time, so a chunk holds its draws,
+    not one generator object (about 1 KB) per replication as well.
+    """
+
+    def __init__(self, seed: int, reps: range):
+        self.seed, self.reps = seed, reps
+
+    def __len__(self):
+        return len(self.reps)
+
+    def __iter__(self):
+        return (replication_rng(self.seed, r) for r in self.reps)
 
 
 def sub_seed(seed: int, tag: int) -> int:
@@ -157,11 +183,11 @@ class FieldModel:
     """Base: stationary model sampled on rectangles [1, n1] x ... x [1, nd].
 
     A model implements one draw method, ``_batch(dims, rngs)``: the draws
-    of the replications with substreams ``rngs``, stacked (R, *dims). Draws
-    go through ``sample_values`` or ``batches``, which reject empty
-    rectangles before ``_batch`` runs. Block maxima go through
-    ``nested_maxes``, which reads every rectangle of a grid or curve off
-    one draw of the largest.
+    of the replications with substreams ``rngs`` (a sized iterable), as one
+    array (R, *dims). Draws go through ``sample_values`` or ``batches``,
+    which reject empty rectangles before ``_batch`` runs. Block maxima go
+    through ``nested_maxes``, which reads every rectangle of a grid or
+    curve off one draw of the largest.
     """
 
     name = "field"
@@ -173,16 +199,31 @@ class FieldModel:
     def _batch(self, dims, rngs) -> np.ndarray:
         raise NotImplementedError
 
-    def batches(self, dims, reps: int, seed: int, chunk: int = DEFAULT_CHUNK):
-        """Replications 0..reps-1 of ``seed`` in order, as chunks (R, *dims) with R <= chunk.
+    def dilated(self, dims) -> tuple[int, ...]:
+        """The rectangle of i.i.d. inputs a draw on ``dims`` fills: ``dims``, but for a moving max."""
+        return dims
 
-        Replication r draws from ``replication_rng(seed, r)``, so the values
-        do not depend on ``chunk``. Reduce each chunk before drawing the next
-        (e.g. through ``map``) to keep one chunk alive at a time.
+    @staticmethod
+    def _fill(shape, rngs, rvs) -> np.ndarray:
+        """``rvs(size=shape, random_state=rng)`` for each substream, written into one (R, *shape) array."""
+        out = np.empty((len(rngs),) + shape)
+        for r, rng in enumerate(rngs):
+            out[r] = rvs(size=shape, random_state=rng)
+        return out
+
+    def batches(self, dims, reps: int, seed: int):
+        """Replications 0..reps-1 of ``seed`` in order, as chunks (R, *dims).
+
+        R is the number of float64 draws on ``dilated(dims)`` that fit in
+        ``CHUNK_BYTES``, and at least 1. Replication r draws from
+        ``replication_rng(seed, r)``, so the values do not depend on R.
+        Reduce each chunk before drawing the next (e.g. through ``map``) to
+        keep one chunk alive at a time.
         """
         dims = _rectangle(dims)
+        chunk = max(1, CHUNK_BYTES // (8 * math.prod(self.dilated(dims))))
         for lo in range(0, reps, chunk):
-            yield self._batch(dims, [replication_rng(seed, r) for r in range(lo, min(lo + chunk, reps))])
+            yield self._batch(dims, _Substreams(seed, range(lo, min(lo + chunk, reps))))
 
     def marginal_cdf(self, x):
         return self.marginal.cdf(x)
@@ -202,14 +243,14 @@ class FieldModel:
         values = self.sample_values(dims, replication_rng(seed, rep))
         return FieldSample(dims=tuple(dims), values=values, seed=seed)
 
-    def nested_maxes(self, rects, reps: int, seed: int, chunk: int = DEFAULT_CHUNK) -> np.ndarray:
+    def nested_maxes(self, rects, reps: int, seed: int) -> np.ndarray:
         """M over each origin-anchored rectangle of ``rects``, shape (len(rects), reps).
 
         Replication r is drawn once, from ``replication_rng(seed, r)``, on
         the componentwise-largest rectangle, and M over each rectangle is
         the max over its corner of that draw. A row is therefore never
         above the row of a rectangle that contains it, and the values do
-        not depend on ``chunk``.
+        not depend on the chunking.
         """
         rects = [_rectangle(r) for r in rects]
         if not rects or len({len(r) for r in rects}) != 1:
@@ -220,12 +261,12 @@ class FieldModel:
         # map drops each chunk before it draws the next, so one chunk is alive
         # at a time (a loop over zip(range(...), batches) keeps two)
         reduce = lambda x: np.stack([x[corner].max(axis=axes) for corner in corners])
-        parts = list(map(reduce, self.batches(box, reps, seed, chunk)))
+        parts = list(map(reduce, self.batches(box, reps, seed)))
         return np.concatenate(parts, axis=1) if parts else np.empty((len(rects), 0))
 
-    def block_maxes(self, dims, reps: int, seed: int, chunk: int = DEFAULT_CHUNK) -> np.ndarray:
-        """reps independent draws of M_dims; identical for any chunk size."""
-        return self.nested_maxes([dims], reps, seed, chunk)[0]
+    def block_maxes(self, dims, reps: int, seed: int) -> np.ndarray:
+        """reps independent draws of M_dims: ``nested_maxes`` on one rectangle."""
+        return self.nested_maxes([dims], reps, seed)[0]
 
 
 class IIDField(FieldModel):
@@ -237,7 +278,7 @@ class IIDField(FieldModel):
         self.marginal = marginal
 
     def _batch(self, dims, rngs):
-        return np.stack([self.marginal.rvs(size=dims, random_state=rng) for rng in rngs], dtype=np.float64)
+        return self._fill(dims, rngs, self.marginal.rvs)
 
     def exact_block_max_cdf(self, dims, x):
         n_star = int(np.prod(dims))
@@ -271,8 +312,7 @@ class MovingMaxField(FieldModel):
         return tuple(n + w - 1 for n, w in zip(dims, self.window))
 
     def _batch(self, dims, rngs):
-        shape = self.dilated(dims)
-        z = np.stack([self.innovations.rvs(size=shape, random_state=rng) for rng in rngs], dtype=np.float64)
+        z = self._fill(self.dilated(dims), rngs, self.innovations.rvs)
         return kernels.window_max(z, (1,) + self.window)
 
     def marginal_cdf(self, x):

@@ -4,8 +4,9 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from phantomfields.cli import main
+from phantomfields.cli import COMMANDS, CURVE_FIELDS, INNOVATION_FIELDS, MODEL_FIELDS, main
 
 
 def run(args):
@@ -315,6 +316,40 @@ class TestInputErrors:
         assert err == f"error: {message}\n"
         assert not (tmp_path / "o" / "field.csv").exists()
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"n": 0}, "dims must be >= 1 componentwise, got (0, 0)"),
+            ({"gamma_in": -1}, "gamma_in must lie in (0, 1), got -1"),
+        ],
+    )
+    def test_extremal_index_bad_level_inputs(self, tmp_path, capsys, payload, message):
+        # n = 0 divided by zero and gamma_in < 0 made a complex power: both were tracebacks
+        cfg = write_cfg(tmp_path, payload)
+        assert run(["extremal-index", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "curve, message",
+        [
+            ({"kind": "table"}, "curve field 'table' must be a nonempty list of equal-length"),
+            ({"kind": "table", "table": [[1, 1], [2]]}, "curve field 'table' must be a nonempty list of equal-length"),
+            ({"kind": "diagonal", "dd": 3}, "curve field 'dd' is not used by curve kind diagonal"),
+            ({"kind": "diagonal", "d": "x"}, "curve field 'd' must be a nonnegative integer"),
+            ({"kind": "spiral"}, "curve kind must be one of diagonal, psi_example, table"),
+        ],
+    )
+    def test_bad_curve_field(self, tmp_path, capsys, curve, message):
+        # a missing table was a KeyError traceback, "dd" ran silently with d = 2,
+        # and d: "x" failed without naming the field
+        cfg = write_cfg(tmp_path, {"curve": curve})
+        assert run(["beta", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     def test_usage_error_exits_1(self, tmp_path, capsys):
         # --workers is gone; a stale flag is an input error, not a failed verdict (exit 2)
         assert run(["sectorial-test", "--workers", "2", "--out", str(tmp_path / "o")]) == 1
@@ -380,3 +415,57 @@ def test_startup_leaves_out_heavy_scipy(tmp_path):
             assert loaded == [], name
         for sub in ("scipy.linalg", "scipy.special") + HEAVY_SCIPY:
             assert (sub in loaded) == (sub in uses), (name, sub)
+
+
+# one config field replaced by an arbitrary small JSON value
+SCALARS = st.one_of(
+    st.integers(-2, 4),
+    st.floats(-2, 4, allow_nan=False),
+    st.text(max_size=3),
+    st.none(),
+    st.booleans(),
+)
+JSON_VALUES = st.one_of(SCALARS, st.lists(SCALARS, max_size=3))
+
+
+def kind_objects(fields_by_kind, values):
+    """Objects with a valid kind and a few of its fields (or a foreign one), each with an arbitrary value."""
+
+    def with_fields(kind):
+        keys = st.sampled_from(fields_by_kind[kind] + ("extra",))
+        return st.dictionaries(keys, values, max_size=2).map(lambda d: {"kind": kind, **d})
+
+    return st.sampled_from(sorted(fields_by_kind)).flatmap(with_fields)
+
+
+INNOVATIONS = kind_objects(INNOVATION_FIELDS, JSON_VALUES)
+MODELS = kind_objects(MODEL_FIELDS, st.one_of(JSON_VALUES, INNOVATIONS))
+CURVES = kind_objects(CURVE_FIELDS, st.one_of(JSON_VALUES, st.lists(st.lists(st.integers(-1, 4), max_size=3), max_size=3)))
+
+
+def field_values(default):
+    """Values shaped like ``default`` first (so the search reaches past the type check), then any."""
+    if isinstance(default, dict):
+        near = MODELS if default["kind"] in MODEL_FIELDS else CURVES
+    elif isinstance(default, list):
+        near = st.lists(st.integers(-2, 4), max_size=3)
+    else:
+        near = SCALARS
+    return st.one_of(near, JSON_VALUES, MODELS, CURVES)
+
+
+@pytest.mark.parametrize(
+    "command, key", [(command, key) for command, (_, defaults) in COMMANDS.items() for key in defaults]
+)
+@settings(max_examples=10, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_config_fuzz_exits_cleanly(tmp_path, capsys, command, key, data):
+    """Any one config field set to a small JSON value: exit 0, 1 or 2, and an input error is one line."""
+    defaults = COMMANDS[command][1]
+    cfg = write_cfg(tmp_path, {key: data.draw(field_values(defaults[key]), label="value")})
+    reps = ["--reps", "2"] if "reps" in defaults else []
+    code = main([command, "--config", cfg, *reps, "--out", str(tmp_path / "o")])
+    assert code in (0, 1, 2)
+    err = capsys.readouterr().err
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1, err

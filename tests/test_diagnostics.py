@@ -23,6 +23,7 @@ from phantomfields import (
     quarter_grid_splits,
     replication_rng,
 )
+from phantomfields import sampling
 from phantomfields.covariance import SeparableCovariance
 from phantomfields.diagnostics import _block_probabilities
 
@@ -100,10 +101,11 @@ class TestBetaExact:
 
 class TestBlockProbabilitiesMC:
     @pytest.mark.parametrize("kind", ["moving_max", "gaussian_separable"])
-    def test_table_matches_per_replication_loop(self, two_atom_model, kind):
+    def test_table_matches_per_replication_loop(self, two_atom_model, kind, monkeypatch):
         model = two_atom_model if kind == "moving_max" else GaussianSeparableField(example_covariance())
-        # 600 reps span three chunks of the default size 256
         bound, level, reps, seed = (3, 4), 0.5, 600, 9
+        # 600 reps span 86 chunks of 7, the last one ragged
+        monkeypatch.setattr(sampling, "CHUNK_BYTES", 7 * 8 * math.prod(model.dilated(bound)))
         counts = np.zeros(bound, dtype=np.int64)
         for r in range(reps):
             m = model.sample_values(bound, replication_rng(seed, r))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from phantomfields import (
     example_covariance,
     replication_rng,
 )
+from phantomfields import sampling
 from phantomfields.covariance import SeparableCovariance, from_config
 from phantomfields.sampling import _NormalMarginal, _UniformMarginal, dump_csv, toeplitz_cholesky
 
@@ -28,6 +30,11 @@ def toeplitz_target(poly, n):
     c = np.asarray(poly(np.arange(n, dtype=np.float64)))
     idx = np.arange(n)
     return c[np.abs(np.subtract.outer(idx, idx))]
+
+
+def chunk_reps(monkeypatch, model, dims, reps):
+    """Make ``model.batches`` on ``dims`` draw ``reps`` replications per chunk."""
+    monkeypatch.setattr(sampling, "CHUNK_BYTES", reps * 8 * math.prod(model.dilated(dims)))
 
 
 @pytest.fixture(scope="module")
@@ -79,27 +86,30 @@ class TestGaussianSampler:
         assert not np.array_equal(a.values, c.values)
 
     @pytest.mark.parametrize("kind", ["gaussian_separable", "moving_max", "iid"])
-    def test_chunk_invariance_long_axis(self, gauss, kind):
+    def test_chunk_invariance_long_axis(self, gauss, kind, monkeypatch):
         model = {
             "gaussian_separable": gauss,
             "moving_max": MovingMaxField((2, 3), uniform()),
             "iid": IIDField(uniform()),
         }[kind]
         dims, reps = (300, 4), 100
-        ref = model.block_maxes(dims, reps, seed=3, chunk=16)
+        chunk_reps(monkeypatch, model, dims, 16)
+        ref = model.block_maxes(dims, reps, seed=3)
         for chunk in (7, 256):
-            assert np.array_equal(model.block_maxes(dims, reps, seed=3, chunk=chunk), ref)
+            chunk_reps(monkeypatch, model, dims, chunk)
+            assert np.array_equal(model.block_maxes(dims, reps, seed=3), ref)
         single = [model.sample_values(dims, replication_rng(3, r)).max() for r in range(reps)]
         assert np.array_equal(np.array(single), ref)
 
-    def test_block_maxes_keeps_its_reduction(self, gauss):
+    def test_block_maxes_keeps_its_reduction(self, gauss, monkeypatch):
         # block_maxes is nested_maxes on one rectangle; the values are the
         # per-chunk reduction it always was, bit for bit
         models = (gauss, MovingMaxField((2, 3), uniform()), IIDField(uniform()))
         for model, dims in zip(models, ((9, 5), (6, 4), (3, 7))):
             for chunk in (7, 256):
-                parts = [x.max(axis=(1, 2)) for x in model.batches(dims, 50, 8, chunk)]
-                assert np.array_equal(model.block_maxes(dims, 50, seed=8, chunk=chunk), np.concatenate(parts))
+                chunk_reps(monkeypatch, model, dims, chunk)
+                parts = [x.max(axis=(1, 2)) for x in model.batches(dims, 50, 8)]
+                assert np.array_equal(model.block_maxes(dims, 50, seed=8), np.concatenate(parts))
 
     def test_degenerate_polygon_rejected(self):
         flat = CharacteristicPolygon(
@@ -194,11 +204,13 @@ class TestNestedMaxes:
             assert np.array_equal(got[:, r], [field[:a, :b].max() for a, b in self.RECTS])
 
     @pytest.mark.parametrize("kind", ["gaussian_separable", "moving_max", "iid"])
-    def test_chunk_invariance(self, gauss, kind):
+    def test_chunk_invariance(self, gauss, kind, monkeypatch):
         model = self.model(kind, gauss)
-        ref = model.nested_maxes(self.RECTS, 40, seed=6, chunk=16)
+        chunk_reps(monkeypatch, model, (7, 4), 16)
+        ref = model.nested_maxes(self.RECTS, 40, seed=6)
         for chunk in (7, 256):
-            assert np.array_equal(model.nested_maxes(self.RECTS, 40, seed=6, chunk=chunk), ref)
+            chunk_reps(monkeypatch, model, (7, 4), chunk)
+            assert np.array_equal(model.nested_maxes(self.RECTS, 40, seed=6), ref)
 
     def test_contained_rectangle_never_above(self, gauss):
         squares = [(n, n) for n in (2, 4, 8, 16)]
@@ -219,6 +231,43 @@ class TestNestedMaxes:
 
 
 MARGINAL_PAIRS = [(_UniformMarginal(), uniform()), (_NormalMarginal(), norm())]
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc sees allocated while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestChunkMemory:
+    """A draw holds one chunk of about CHUNK_BYTES, whatever reps and the rectangle."""
+
+    @pytest.mark.parametrize(
+        "kind, dims, factor",
+        [
+            ("gaussian_separable", (160, 160), 1.5),
+            ("gaussian_separable", (2019, 9), 1.5),
+            ("iid", (160, 160), 1.5),
+            ("moving_max", (160, 160), 5.0),  # the innovations and the window-max passes
+        ],
+    )
+    def test_block_maxes_peak_is_a_chunk_multiple(self, gauss, kind, dims, factor):
+        model = TestNestedMaxes.model(kind, gauss)
+        model.block_maxes(dims, 1, seed=0)  # the cached axis factors are not part of a chunk
+        assert traced_peak(lambda: model.block_maxes(dims, 600, seed=1)) <= factor * sampling.CHUNK_BYTES
+
+    @pytest.mark.parametrize("kind, factor", [("gaussian_separable", 1.5), ("moving_max", 5.0), ("iid", 1.5)])
+    def test_tiny_rectangle_holds_no_per_replication_objects(self, gauss, kind, factor, monkeypatch):
+        # a chunk on (1, 1) is thousands of replications: a generator object or
+        # an array per replication would outweigh the draws themselves
+        monkeypatch.setattr(sampling, "CHUNK_BYTES", 1 << 16)
+        model = TestNestedMaxes.model(kind, gauss)
+        model.block_maxes((1, 1), 1, seed=0)
+        assert traced_peak(lambda: model.block_maxes((1, 1), 2000, seed=1)) <= factor * sampling.CHUNK_BYTES
 
 
 class TestBuiltinMarginals:
