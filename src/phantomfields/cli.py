@@ -351,6 +351,9 @@ BETA_DEFAULTS = {
 
 
 def cmd_beta(cfg: dict, out: str) -> int:
+    # checked even when a fixed level leaves it unread, so summary.json never records a bad gamma
+    if not 0.0 < cfg["gamma"] < 1.0:
+        raise ConfigError(f"config field 'gamma' must lie in (0, 1), got {json.dumps(cfg['gamma'])}")
     model = _model_from_config(cfg["model"])
     curve = _curve_from_config(cfg["curve"])
     n, k, T = cfg["n"], cfg["k"], cfg["T"]

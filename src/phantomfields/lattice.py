@@ -96,9 +96,14 @@ def curve_psi_example() -> MonotoneCurve:
 
 
 def curve_from_table(points, name: str = "table") -> MonotoneCurve:
+    """The curve through row n of ``points`` at n; a decreasing row is an error, not repaired."""
     pts = np.asarray(points, dtype=np.int64)
     if pts.ndim != 2:
         raise ValueError("table must be a sequence of lattice points")
+    dec = np.flatnonzero(np.any(np.diff(pts, axis=0) < 0, axis=1))
+    if dec.size:
+        n = int(dec[0]) + 2  # the 1-based row of the first point below its predecessor
+        raise ValueError(f"table curve decreases at row {n}: {pts[n - 1].tolist()} after {pts[n - 2].tolist()}")
 
     def fn(n: int) -> tuple[int, ...]:
         if n > len(pts):

@@ -1,12 +1,12 @@
 """Exact samplers for the field models and their oracle laws.
 
-Models share one RNG contract: replication r of a run with master seed s
-draws from the generator seeded by SeedSequence([s, r]), so the values do
-not depend on how the replication range is split into chunks. The iid and
-moving-max draws are bit-identical under any split; the Gaussian transform
-is a BLAS product whose rounding can depend on where a replication sits in
-its chunk, so its draws agree to the last bit or two (bit for bit at the
-shapes the tests pin).
+Models share one RNG contract: a run with master seed s reads one
+generator, ``np.random.default_rng(s)`` (PCG64), and replication r is the
+r-th block of its draws, whatever chunk it falls in and however many
+replications follow. The iid and moving-max draws are bit-identical under
+any chunking; the Gaussian transform is a BLAS product whose rounding can
+depend on where a replication sits in its chunk, so its draws agree to the
+last bit or two (within 4 ulps of the largest value at (20, 20)).
 
 Every Monte-Carlo consumer draws its replications through
 ``FieldModel.batches``, one chunk at a time. A chunk holds as many
@@ -46,25 +46,11 @@ class FactorizationError(RuntimeError):
 
 
 def replication_rng(seed: int, rep: int) -> np.random.Generator:
-    """Independent substream for replication ``rep`` of master ``seed``."""
-    return np.random.default_rng(np.random.SeedSequence([seed, rep]))
+    """Independent substream for replication ``rep`` of master ``seed``.
 
-
-class _Substreams:
-    """The substreams of replications ``reps`` of ``seed``, each made as it is reached.
-
-    Iterating makes one generator at a time, so a chunk holds its draws,
-    not one generator object (about 1 KB) per replication as well.
+    Nothing in the package calls it: a run reads one stream (see above).
     """
-
-    def __init__(self, seed: int, reps: range):
-        self.seed, self.reps = seed, reps
-
-    def __len__(self):
-        return len(self.reps)
-
-    def __iter__(self):
-        return (replication_rng(self.seed, r) for r in self.reps)
+    return np.random.default_rng(np.random.SeedSequence([seed, rep]))
 
 
 def sub_seed(seed: int, tag: int) -> int:
@@ -182,9 +168,9 @@ def _rectangle(dims) -> tuple[int, ...]:
 class FieldModel:
     """Base: stationary model sampled on rectangles [1, n1] x ... x [1, nd].
 
-    A model implements one draw method, ``_batch(dims, rngs)``: the draws
-    of the replications with substreams ``rngs`` (a sized iterable), as one
-    array (R, *dims). Draws go through ``sample_values`` or ``batches``,
+    A model implements one draw method, ``_batch(dims, rng, count)``: the
+    next ``count`` replications of the stream ``rng``, in order, as one
+    array (count, *dims). Draws go through ``sample_values`` or ``batches``,
     which reject empty rectangles before ``_batch`` runs. Block maxima go
     through ``nested_maxes``, which reads every rectangle of a grid or
     curve off one draw of the largest.
@@ -193,10 +179,10 @@ class FieldModel:
     name = "field"
 
     def sample_values(self, dims, rng) -> np.ndarray:
-        """One draw on the rectangle ``dims`` from the substream ``rng``."""
-        return self._batch(_rectangle(dims), [rng])[0]
+        """One draw on the rectangle ``dims``: the next replication of the stream ``rng``."""
+        return self._batch(_rectangle(dims), rng, 1)[0]
 
-    def _batch(self, dims, rngs) -> np.ndarray:
+    def _batch(self, dims, rng, count) -> np.ndarray:
         raise NotImplementedError
 
     def dilated(self, dims) -> tuple[int, ...]:
@@ -204,10 +190,10 @@ class FieldModel:
         return dims
 
     @staticmethod
-    def _fill(shape, rngs, rvs) -> np.ndarray:
-        """``rvs(size=shape, random_state=rng)`` for each substream, written into one (R, *shape) array."""
-        out = np.empty((len(rngs),) + shape)
-        for r, rng in enumerate(rngs):
+    def _fill(shape, rng, count, rvs) -> np.ndarray:
+        """``count`` draws ``rvs(size=shape, random_state=rng)`` in turn, written into one (count, *shape) array."""
+        out = np.empty((count,) + shape)
+        for r in range(count):
             out[r] = rvs(size=shape, random_state=rng)
         return out
 
@@ -215,15 +201,16 @@ class FieldModel:
         """Replications 0..reps-1 of ``seed`` in order, as chunks (R, *dims).
 
         R is the number of float64 draws on ``dilated(dims)`` that fit in
-        ``CHUNK_BYTES``, and at least 1. Replication r draws from
-        ``replication_rng(seed, r)``, so the values do not depend on R.
-        Reduce each chunk before drawing the next (e.g. through ``map``) to
-        keep one chunk alive at a time.
+        ``CHUNK_BYTES``, and at least 1. The chunks read one generator,
+        made once per call, in replication order, so the values do not
+        depend on R. Reduce each chunk before drawing the next (e.g.
+        through ``map``) to keep one chunk alive at a time.
         """
         dims = _rectangle(dims)
         chunk = max(1, CHUNK_BYTES // (8 * math.prod(self.dilated(dims))))
+        rng = np.random.default_rng(seed)
         for lo in range(0, reps, chunk):
-            yield self._batch(dims, _Substreams(seed, range(lo, min(lo + chunk, reps))))
+            yield self._batch(dims, rng, min(chunk, reps - lo))
 
     def marginal_cdf(self, x):
         return self.marginal.cdf(x)
@@ -239,15 +226,16 @@ class FieldModel:
         """Level v with P(M_dims <= v) = gamma, for models with exact laws."""
         return None
 
-    def sample(self, dims, seed: int, rep: int = 0) -> FieldSample:
-        values = self.sample_values(dims, replication_rng(seed, rep))
+    def sample(self, dims, seed: int) -> FieldSample:
+        """Replication 0 of the stream of ``seed``, as a ``FieldSample``."""
+        values = self.sample_values(dims, np.random.default_rng(seed))
         return FieldSample(dims=tuple(dims), values=values, seed=seed)
 
     def nested_maxes(self, rects, reps: int, seed: int) -> np.ndarray:
         """M over each origin-anchored rectangle of ``rects``, shape (len(rects), reps).
 
-        Replication r is drawn once, from ``replication_rng(seed, r)``, on
-        the componentwise-largest rectangle, and M over each rectangle is
+        Replication r is drawn once, from the stream of ``seed``, on the
+        componentwise-largest rectangle, and M over each rectangle is
         the max over its corner of that draw. A row is therefore never
         above the row of a rectangle that contains it, and the values do
         not depend on the chunking.
@@ -277,8 +265,8 @@ class IIDField(FieldModel):
     def __init__(self, marginal):
         self.marginal = marginal
 
-    def _batch(self, dims, rngs):
-        return self._fill(dims, rngs, self.marginal.rvs)
+    def _batch(self, dims, rng, count):
+        return self._fill(dims, rng, count, self.marginal.rvs)
 
     def exact_block_max_cdf(self, dims, x):
         n_star = int(np.prod(dims))
@@ -311,8 +299,8 @@ class MovingMaxField(FieldModel):
             raise ValueError(f"dims must have {len(self.window)} coordinates")
         return tuple(n + w - 1 for n, w in zip(dims, self.window))
 
-    def _batch(self, dims, rngs):
-        z = self._fill(self.dilated(dims), rngs, self.innovations.rvs)
+    def _batch(self, dims, rng, count):
+        z = self._fill(self.dilated(dims), rng, count, self.innovations.rvs)
         return kernels.window_max(z, (1,) + self.window)
 
     def marginal_cdf(self, x):
@@ -418,10 +406,10 @@ class GaussianSeparableField(FieldModel):
             dtrmm(1.0, L, x.reshape(-1, L.shape[0]).T, lower=1, overwrite_b=1)
         return x
 
-    def _batch(self, dims, rngs):
+    def _batch(self, dims, rng, count):
         factors = self.factors(dims)
-        x = np.empty((dims[0], len(rngs)) + dims[1:])
-        for r, rng in enumerate(rngs):
+        x = np.empty((dims[0], count) + dims[1:])
+        for r in range(count):
             x[:, r] = rng.standard_normal(dims)
         # a view (R, n0, n1, ...) of the (n0, R, n1, ...) layout, not a copy
         return np.moveaxis(self._transform(x, factors), 1, 0)
@@ -436,8 +424,8 @@ def equicorrelated_maxes(N: int, rho: float, reps: int, seed: int) -> np.ndarray
     """Draws of sqrt(1-rho) * max(eta_1..eta_N) + sqrt(rho) * zeta.
 
     All variates standard normal, the eta's independent of zeta. Replication
-    r reads eta_1..eta_N and then zeta off one i.i.d. normal draw of length
-    N + 1 from its substream.
+    r reads eta_1..eta_N and then zeta off its block of N + 1 i.i.d.
+    normals of the run's stream.
     """
     if N < 1:
         raise ValueError("N must be >= 1")

@@ -328,6 +328,26 @@ class TestInputErrors:
         cfg = write_cfg(tmp_path, payload)
         assert run(["extremal-index", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            (
+                {"curve": {"kind": "table", "table": [[4, 4], [1, 1], [2, 2]]}},
+                "table curve decreases at row 2: [1, 1] after [4, 4]",
+            ),
+            ({"gamma": -1}, "config field 'gamma' must lie in (0, 1), got -1"),
+            ({"gamma": 0}, "config field 'gamma' must lie in (0, 1), got 0"),
+            ({"gamma": 2}, "config field 'gamma' must lie in (0, 1), got 2"),
+        ],
+    )
+    def test_beta_bad_curve_or_gamma(self, tmp_path, capsys, payload, message):
+        # both ran and exited 0: a decreasing table at its last point, and a
+        # gamma left unread under the default fixed level
+        cfg = write_cfg(tmp_path, payload)
+        assert run(["beta", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(

@@ -21,7 +21,6 @@ from phantomfields import (
     exhaustive_splits,
     levels_u,
     quarter_grid_splits,
-    replication_rng,
 )
 from phantomfields import sampling
 from phantomfields.covariance import SeparableCovariance
@@ -107,8 +106,9 @@ class TestBlockProbabilitiesMC:
         # 600 reps span 86 chunks of 7, the last one ragged
         monkeypatch.setattr(sampling, "CHUNK_BYTES", 7 * 8 * math.prod(model.dilated(bound)))
         counts = np.zeros(bound, dtype=np.int64)
+        rng = np.random.default_rng(seed)
         for r in range(reps):
-            m = model.sample_values(bound, replication_rng(seed, r))
+            m = model.sample_values(bound, rng)
             for ax in range(len(bound)):
                 m = np.maximum.accumulate(m, axis=ax)
             counts += m <= level

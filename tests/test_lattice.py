@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from phantomfields import (
     FieldSample,
+    MonotoneCurve,
     Rectangle,
     block_max,
     curve_diagonal,
@@ -17,6 +18,11 @@ from phantomfields import (
     in_neighborhood,
     validate_curve,
 )
+
+
+def raw_curve(pts):
+    """A curve through ``pts`` taken as they are: curve_from_table rejects a decreasing row."""
+    return MonotoneCurve(fn=lambda n: tuple(pts[n - 1]), d=len(pts[0]))
 
 
 def make_sample(values):
@@ -99,6 +105,13 @@ class TestCurves:
         with pytest.raises(ValueError):
             curve_from_config({"kind": "spiral"})
 
+    def test_table_must_not_decrease(self):
+        # the first row below its predecessor is named; no running-max repair
+        with pytest.raises(ValueError, match=r"decreases at row 2: \[1, 1\] after \[4, 4\]"):
+            curve_from_table([[4, 4], [1, 1], [2, 2]])
+        with pytest.raises(ValueError, match=r"row 3: \[2, 1\] after \[2, 2\]"):
+            curve_from_table([(1, 1), (2, 2), (2, 1)])
+
 
 class TestValidateCurve:
     def test_diagonal_valid(self):
@@ -118,7 +131,7 @@ class TestValidateCurve:
         assert "strictness" in check.first_violation
 
     def test_decreasing_curve_reported(self):
-        psi = curve_from_table([(1, 1), (2, 2), (2, 1)])
+        psi = raw_curve([(1, 1), (2, 2), (2, 1)])
         check = validate_curve(psi, horizon=3)
         assert not check.ok
         assert "decreases" in check.first_violation
@@ -154,8 +167,7 @@ class TestNeighborhood:
         assert in_neighborhood(phi, psi, C=3.0, horizon=60)[0]
 
     def test_prefix_exception(self):
-        pts = [(50, 1)] + [(n, n) for n in range(2, 40)]
-        phi = curve_from_table(pts)
+        phi = raw_curve([(50, 1)] + [(n, n) for n in range(2, 40)])
         psi = curve_diagonal(2)
         ok1, bad1 = in_neighborhood(phi, psi, C=2.0, horizon=30, n0=1)
         ok2, _ = in_neighborhood(phi, psi, C=2.0, horizon=30, n0=2)
