@@ -2,11 +2,17 @@
 
 Subcommands: simulate | sectorial-test | directional-test | extremal-index
 | beta | berman. Each run resolves a config (built-in defaults <- JSON
-config file <- CLI flags), writes results.csv and summary.json into the
-output directory, and exits 0 on success, 2 when a scientific verdict
-fails, 1 on input errors, usage errors included. Outputs embed the
-resolved config and library version; rows are formatted deterministically
-so reruns with the same seed are byte-identical.
+config file <- CLI flags) and checks all of it before the command runs:
+a field keeps the type of its default, and a nested object (``model``,
+its ``innovations``, beta's ``curve``) names one of its kinds in
+``KINDS`` and only that kind's fields, whose defaults are filled in.
+Ranges (a feasible gamma pair, a window or a curve coordinate >= 1) are
+the library's to check. A command returns its header, rows and verdicts;
+``main`` writes them to results.csv and summary.json in the output
+directory and exits 0 on success, 2 when a scientific verdict fails, 1
+on input errors, usage errors included. Outputs embed the resolved
+config and library version; rows are formatted deterministically so
+reruns with the same seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from . import diagnostics, phantom
-from .covariance import GammaPair, example_covariance
+from .covariance import DEFAULT_GAMMAS, GammaPair, example_covariance
 from .lattice import curve_from_config
 from .sampling import (
     FactorizationError,
@@ -41,6 +47,23 @@ class ConfigError(ValueError):
     pass
 
 
+# the example field's gamma pair as config fields: its default everywhere
+GAMMAS = {"gamma1": DEFAULT_GAMMAS.gamma1, "gamma2": DEFAULT_GAMMAS.gamma2}
+# the objects a config nests: kind -> {field: default}, the first kind the
+# default kind. A table curve's points have no default: their entry only
+# gives their type, and REQUIRED_FIELDS makes them required.
+KINDS = {
+    "model": {
+        "gaussian_separable": GAMMAS,
+        "iid": {"marginal": "uniform"},
+        "moving_max": {"window": [2, 2], "innovations": {"kind": "uniform"}},
+    },
+    "innovations": {"uniform": {}, "two_atom": {"lo": 0.0, "hi": 1.0, "p_lo": 0.5}},
+    "curve": {"diagonal": {"d": 2}, "psi_example": {}, "table": {"table": [[1]]}},
+}
+REQUIRED_FIELDS = {"table"}
+# string fields that name one of a few values
+CHOICES = {"marginal": ("uniform", "normal")}
 # fields whose null is meaningful: beta's level and extremal-index's expected_theta
 NULLABLE_FIELDS = {"level", "expected_theta"}
 
@@ -50,24 +73,64 @@ def _type_error(value, default) -> str | None:
 
     A value keeps the JSON type of its default (an integer may stand for a
     float); integers, alone or in a list, are counts or seeds, so >= 0, and
-    a list of them is a grid or a shape, so nonempty.
+    a list of them is a grid or a shape, so nonempty. A list of such lists
+    is a table, whose rows are all of one length.
     """
     count = lambda v: type(v) is int and v >= 0
     if type(default) is int:
         ok, kind = count(value), "a nonnegative integer"
     elif type(default) is float:
         ok, kind = type(value) in (int, float), "a number"
-    elif type(default) is list and default and type(default[0]) is int:
+    elif type(default) is list and type(default[0]) is int:
         ok = type(value) is list and len(value) > 0 and all(map(count, value))
         kind = "a nonempty list of nonnegative integers"
+    elif type(default) is list:  # a table: rows typed like default[0]
+        ok = type(value) is list and len(value) > 0 and not any(_type_error(row, default[0]) for row in value)
+        ok = ok and len(set(map(len, value))) == 1
+        kind = "a nonempty list of equal-length nonempty lists of nonnegative integers"
     else:
-        kinds = {bool: "true or false", str: "a string", list: "a list", dict: "an object"}
+        kinds = {bool: "true or false", str: "a string", dict: "an object"}
         ok, kind = type(value) is type(default), kinds[type(default)]
     return None if ok else f"must be {kind}"
 
 
+def _choice(what: str, value, allowed):
+    if value not in allowed:
+        raise ConfigError(f"{what} must be one of {', '.join(allowed)}, got {json.dumps(value)}")
+    return value
+
+
+def _checked(key: str, value, default, part: str = "config"):
+    """``value`` of the field ``key`` of ``part``, checked against ``default``.
+
+    A ``KINDS`` object comes back resolved: its kind (the first listed if
+    omitted) and every field of that kind, checked or defaulted. A key of
+    the object that its kind does not use is an error, not ignored. The
+    fields of an object nested in another are named after the outer one.
+    """
+    if value is None and key in NULLABLE_FIELDS:
+        return None
+    why = _type_error(value, default)
+    if why:
+        raise ConfigError(f"{part} field {key!r} {why}, got {json.dumps(value)}")
+    if key in CHOICES:
+        _choice(f"{part} field {key!r}", value, CHOICES[key])
+    if key not in KINDS:
+        return value
+    kinds = KINDS[key]
+    kind = _choice(f"{key} kind", value.get("kind", next(iter(kinds))), tuple(kinds))
+    part = key if part == "config" else part
+    fields = kinds[kind]
+    for k in value:
+        if k != "kind" and k not in fields:
+            raise ConfigError(f"{part} field {k!r} is not used by {key} kind {kind}")
+    missing = lambda k, d: None if k in REQUIRED_FIELDS else d
+    return {"kind": kind, **{k: _checked(k, value.get(k, missing(k, d)), d, part) for k, d in fields.items()}}
+
+
 def _load_config(path: str | None, defaults: dict, args) -> dict:
-    cfg = dict(defaults)
+    """The resolved config of a command: every field checked, every default filled in."""
+    user = {}
     if path:
         try:
             with open(path) as fh:
@@ -78,13 +141,10 @@ def _load_config(path: str | None, defaults: dict, args) -> dict:
             raise ConfigError(f"malformed config {path}: line {e.lineno} column {e.colno}: {e.msg}")
         if not isinstance(user, dict):
             raise ConfigError(f"malformed config {path}: top level must be an object")
-        for key, value in user.items():
+        for key in user:
             if key not in defaults:
                 raise ConfigError(f"malformed config {path}: unknown field {key!r}")
-            why = None if value is None and key in NULLABLE_FIELDS else _type_error(value, defaults[key])
-            if why:
-                raise ConfigError(f"config field {key!r} {why}, got {json.dumps(value)}")
-        cfg.update(user)
+    cfg = {key: _checked(key, user.get(key, default), default) for key, default in defaults.items()}
     for flag in ("seed", "reps"):
         val = getattr(args, flag, None)
         if val is not None:
@@ -105,9 +165,14 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _out_dir(out: str) -> Path:
+    path = Path(out)
+    path.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def _write_outputs(out_dir: str, command: str, cfg: dict, header, rows, verdicts: dict) -> None:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(out_dir)
     with open(out / "results.csv", "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
@@ -118,95 +183,45 @@ def _write_outputs(out_dir: str, command: str, cfg: dict, header, rows, verdicts
         "version": __version__,
         "config": cfg,
         "verdicts": verdicts,
-        "all_passed": all(verdicts.values()) if verdicts else True,
+        "all_passed": all(verdicts.values()),
     }
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _choice(what: str, value, allowed):
-    if value not in allowed:
-        raise ConfigError(f"{what} must be one of {', '.join(allowed)}, got {json.dumps(value)}")
-    return value
+def _example_covariance(cfg: dict):
+    """The example covariance of the gamma pair in ``cfg``; a pair off the feasibility chain raises."""
+    return example_covariance(GammaPair(float(cfg["gamma1"]), float(cfg["gamma2"])))
 
 
-def _model_field(cfg: dict, key: str, default, part: str = "model"):
-    """``cfg[key]`` (``default`` if absent), typed like a config field; a ConfigError names the field."""
-    value = cfg.get(key, default)
-    why = _type_error(value, default)
-    if why:
-        raise ConfigError(f"{part} field {key!r} {why}, got {json.dumps(value)}")
-    return value
-
-
-def _only_fields(cfg: dict, what: str, fields, part: str = "model") -> None:
-    """Reject a key of ``cfg`` that ``what`` does not use: it would be ignored silently."""
-    for key in cfg:
-        if key != "kind" and key not in fields:
-            raise ConfigError(f"{part} field {key!r} is not used by {what}")
-
-
-# the fields each model kind and innovations kind reads, besides "kind"
-MODEL_FIELDS = {
-    "gaussian_separable": ("gamma1", "gamma2"),
-    "iid": ("marginal",),
-    "moving_max": ("window", "innovations"),
-}
-INNOVATION_FIELDS = {"uniform": (), "two_atom": ("lo", "hi", "p_lo")}
-CURVE_FIELDS = {"diagonal": ("d",), "psi_example": (), "table": ("table",)}
-
-
-def _model_from_config(cfg: dict):
-    kind = _choice("model kind", cfg.get("kind", "gaussian_separable"), tuple(MODEL_FIELDS))
-    _only_fields(cfg, f"model kind {kind}", MODEL_FIELDS[kind])
-    if kind == "gaussian_separable":
-        g = GammaPair(float(_model_field(cfg, "gamma1", 0.26)), float(_model_field(cfg, "gamma2", 0.10)))
-        return GaussianSeparableField(example_covariance(g))
+def _model_from_config(model: dict):
+    """The field model of a resolved ``model`` object."""
+    if model["kind"] == "gaussian_separable":
+        return GaussianSeparableField(_example_covariance(model))
     # uniform and normal are the built-in marginals, not scipy.stats' frozen
     # laws: same values and draws, without scipy.stats' import time
-    if kind == "iid":
-        marg = _choice("iid marginal", cfg.get("marginal", "uniform"), ("uniform", "normal"))
-        return IIDField({"uniform": _UniformMarginal, "normal": _NormalMarginal}[marg]())
-    icfg = _model_field(cfg, "innovations", {"kind": "uniform"})
-    ikind = _choice("innovations kind", icfg.get("kind", "uniform"), tuple(INNOVATION_FIELDS))
-    _only_fields(icfg, f"innovations kind {ikind}", INNOVATION_FIELDS[ikind])
-    if ikind == "uniform":
+    if model["kind"] == "iid":
+        return IIDField({"uniform": _UniformMarginal, "normal": _NormalMarginal}[model["marginal"]]())
+    icfg = model["innovations"]
+    if icfg["kind"] == "uniform":
         innov = _UniformMarginal()
     else:
         innov = TwoAtomInnovations(
-            lo=float(_model_field(icfg, "lo", 0.0)),
-            hi=float(_model_field(icfg, "hi", 1.0)),
-            p_lo=float(_model_field(icfg, "p_lo", 0.5)),
+            lo=float(icfg["lo"]),
+            hi=float(icfg["hi"]),
+            p_lo=float(icfg["p_lo"]),
         )
     # MovingMaxField rejects a window entry of 0
-    return MovingMaxField(_model_field(cfg, "window", [2, 2]), innov)
-
-
-def _curve_from_config(cfg: dict):
-    kind = _choice("curve kind", cfg.get("kind", "diagonal"), tuple(CURVE_FIELDS))
-    _only_fields(cfg, f"curve kind {kind}", CURVE_FIELDS[kind], "curve")
-    if kind == "diagonal":
-        _model_field(cfg, "d", 2, "curve")
-    if kind == "table":
-        # no default: each point is a nonempty list of integers, all of one length
-        points = cfg.get("table")
-        ok = type(points) is list and points and not any(_type_error(p, [1]) for p in points)
-        if not ok or len(set(map(len, points))) != 1:
-            raise ConfigError(
-                "curve field 'table' must be a nonempty list of equal-length nonempty lists "
-                f"of nonnegative integers, got {json.dumps(points)}"
-            )
-    return curve_from_config(cfg)
+    return MovingMaxField(model["window"], innov)
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (header, rows, verdicts)
 # ---------------------------------------------------------------------------
 
 SECTORIAL_DEFAULTS = {
-    "gamma1": 0.26,
-    "gamma2": 0.10,
+    **GAMMAS,
     "n_grid": [20, 40, 80],
     "reps": 2000,
     "seed": 20240901,
@@ -224,14 +239,14 @@ def _grid_maxes(model, cfg: dict) -> np.ndarray:
     return model.nested_maxes([(n, n) for n in ns], cfg["reps"], _sub_seed(cfg["seed"], max(ns)))
 
 
-def cmd_sectorial_test(cfg: dict, out: str) -> int:
+def cmd_sectorial_test(cfg: dict, out: str):
     """Distance of the example field along the diagonal from powered Phi,
     with the comparison-bound domination check folded into the same rows."""
-    model = GaussianSeparableField(example_covariance(GammaPair(cfg["gamma1"], cfg["gamma2"])))
+    model = GaussianSeparableField(_example_covariance(cfg))
     phi = phantom.normal_candidate()
     maxes = _grid_maxes(model, cfg)
     rows = []
-    dists, ses, berman_ok = [], [], []
+    dists, ses = [], []
     for n, m in zip(cfg["n_grid"], maxes):
         law = phantom.EmpiricalLaw(np.sort(m), cfg["reps"])
         rep = phantom.phantom_distance(law, phi, n * n)
@@ -239,28 +254,19 @@ def cmd_sectorial_test(cfg: dict, out: str) -> int:
         g = diagnostics.bound_vs_maxima(model.cov, m, n, u)
         dists.append(rep.value)
         ses.append(rep.se)
-        berman_ok.append(g.verdict)
         rows.append((n, n, n, rep.value, rep.se, rep.x, u, g.p_hat, g.target, g.gap, g.bound, g.verdict))
     mono = all(dists[i + 1] <= dists[i] + 2.0 * ses[i + 1] for i in range(len(dists) - 1))
     verdicts = {
         "distance_nonincreasing_within_2se": bool(mono),
         "distance_last_le_first": bool(dists[-1] <= dists[0]),
-        "berman_bound_dominates": bool(all(berman_ok)),
+        "berman_bound_dominates": all(bool(row[-1]) for row in rows),
     }
-    _write_outputs(
-        out,
-        "sectorial-test",
-        cfg,
-        ["n", "psi1", "psi2", "distance", "se", "argmax_x", "u", "p_hat", "target", "gap", "berman_bound", "berman_ok"],
-        rows,
-        verdicts,
-    )
-    return 0 if all(verdicts.values()) else 2
+    header = ["n", "psi1", "psi2", "distance", "se", "argmax_x", "u", "p_hat", "target", "gap", "berman_bound", "berman_ok"]
+    return header, rows, verdicts
 
 
 DIRECTIONAL_DEFAULTS = {
-    "gamma1": 0.26,
-    "gamma2": 0.10,
+    **GAMMAS,
     "N_grid": [10**4, 10**5, 10**6, 10**7, 10**8],
     "x": 0.0,
     "tol_final": 0.02,
@@ -268,10 +274,11 @@ DIRECTIONAL_DEFAULTS = {
 }
 
 
-def cmd_directional_test(cfg: dict, out: str) -> int:
+def cmd_directional_test(cfg: dict, out: str):
     """Quadrature law of the equicorrelated comparison maxima along the
     log-split curve versus the non-Gumbel limit and the Gumbel law."""
-    kappa = cfg["gamma1"] * cfg["gamma2"]
+    g = _example_covariance(cfg).gammas
+    kappa = g.gamma1 * g.gamma2
     x = cfg["x"]
     h = phantom.limit_H(x, kappa)
     h0 = phantom.gumbel_H0(x)
@@ -292,19 +299,11 @@ def cmd_directional_test(cfg: dict, out: str) -> int:
     }
     rows.append(("limit", "", "", "", "", h, 0.0))
     rows.append(("gumbel", "", "", "", "", h0, sep))
-    _write_outputs(
-        out,
-        "directional-test",
-        cfg,
-        ["N", "rho", "a_N", "b_N", "w", "value", "gap"],
-        rows,
-        verdicts,
-    )
-    return 0 if all(verdicts.values()) else 2
+    return ["N", "rho", "a_N", "b_N", "w", "value", "gap"], rows, verdicts
 
 
 EXTREMAL_DEFAULTS = {
-    "model": {"kind": "moving_max", "window": [2, 2], "innovations": {"kind": "uniform"}},
+    "model": {"kind": "moving_max"},
     "n": 200,
     "gamma_in": math.exp(-1.0),
     "expected_theta": 0.25,
@@ -312,32 +311,17 @@ EXTREMAL_DEFAULTS = {
 }
 
 
-def cmd_extremal_index(cfg: dict, out: str) -> int:
+def cmd_extremal_index(cfg: dict, out: str):
     model = _model_from_config(cfg["model"])
     est = phantom.estimate_extremal_index(model, (cfg["n"], cfg["n"]), cfg["gamma_in"])
-    ok = True
-    if cfg.get("expected_theta") is not None:
-        ok = abs(est.theta - cfg["expected_theta"]) <= cfg["tol"]
-    verdicts = {"theta_within_tol": bool(ok)}
+    ok = cfg["expected_theta"] is None or abs(est.theta - cfg["expected_theta"]) <= cfg["tol"]
     rows = [(cfg["n"], est.theta, est.gamma_or, est.gamma_in, est.level)]
-    _write_outputs(
-        out,
-        "extremal-index",
-        cfg,
-        ["n", "theta", "gamma_or", "gamma_in", "level"],
-        rows,
-        verdicts,
-    )
-    return 0 if ok else 2
+    return ["n", "theta", "gamma_or", "gamma_in", "level"], rows, {"theta_within_tol": bool(ok)}
 
 
 BETA_DEFAULTS = {
-    "model": {
-        "kind": "moving_max",
-        "window": [2, 2],
-        "innovations": {"kind": "two_atom", "lo": 0.0, "hi": 1.0, "p_lo": 0.5},
-    },
-    "curve": {"kind": "diagonal", "d": 2},
+    "model": {"kind": "moving_max", "innovations": {"kind": "two_atom"}},
+    "curve": {"kind": "diagonal"},
     "T": 1.0,
     "n": 3,
     "k": 2,
@@ -350,14 +334,14 @@ BETA_DEFAULTS = {
 }
 
 
-def cmd_beta(cfg: dict, out: str) -> int:
+def cmd_beta(cfg: dict, out: str):
     # checked even when a fixed level leaves it unread, so summary.json never records a bad gamma
     if not 0.0 < cfg["gamma"] < 1.0:
         raise ConfigError(f"config field 'gamma' must lie in (0, 1), got {json.dumps(cfg['gamma'])}")
     model = _model_from_config(cfg["model"])
-    curve = _curve_from_config(cfg["curve"])
+    curve = curve_from_config(cfg["curve"])
     n, k, T = cfg["n"], cfg["k"], cfg["T"]
-    if cfg.get("level") is not None:
+    if cfg["level"] is not None:
         levels = float(cfg["level"])
     elif model.exact_block_max_cdf((1,) * curve.d, 0.5) is not None:
         levels = phantom.exact_level_sequence(model, curve, cfg["gamma"], n)
@@ -366,101 +350,65 @@ def cmd_beta(cfg: dict, out: str) -> int:
             model, curve, cfg["gamma"], n, cfg["reps"], cfg["seed"]
         )
     bound = tuple(int(math.floor(T * c)) for c in curve(n))
-    splits = diagnostics.exhaustive_splits(bound, k) if cfg["exhaustive"] else None
-    rep = diagnostics.beta_k_estimate(
-        model, curve, levels, T, n, k=k, splits=splits, reps=cfg["reps"], seed=cfg["seed"], mode=cfg["mode"]
-    )
+
+    def estimate(k):
+        splits = diagnostics.exhaustive_splits(bound, k) if cfg["exhaustive"] else None
+        return diagnostics.beta_k_estimate(
+            model, curve, levels, T, n, k=k, splits=splits, reps=cfg["reps"], seed=cfg["seed"], mode=cfg["mode"]
+        )
+
+    rep = estimate(k)
     verdicts = {}
     if k > 2:
-        rep2 = diagnostics.beta_k_estimate(
-            model, curve, levels, T, n, k=2,
-            splits=diagnostics.exhaustive_splits(bound, 2) if cfg["exhaustive"] else None,
-            reps=cfg["reps"], seed=cfg["seed"], mode=cfg["mode"],
-        )
-        verdicts["growth_inequality"] = bool(rep.value <= k ** curve.d * rep2.value + 1e-12)
-    rows = [(n, k, rep.value, rep.mode, rep.grid_size, rep.level, rep.se if rep.se is not None else "")]
-    _write_outputs(
-        out,
-        "beta",
-        cfg,
-        ["n", "k", "beta", "mode", "grid", "level", "se"],
-        rows,
-        verdicts,
-    )
+        verdicts["growth_inequality"] = bool(rep.value <= k ** curve.d * estimate(2).value + 1e-12)
     report = rep.to_json()
     report["verdicts"] = verdicts
-    with open(Path(out) / "beta.json", "w") as fh:
+    with open(_out_dir(out) / "beta.json", "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return 0 if all(verdicts.values()) else 2
+    rows = [(n, k, rep.value, rep.mode, rep.grid_size, rep.level, rep.se if rep.se is not None else "")]
+    return ["n", "k", "beta", "mode", "grid", "level", "se"], rows, verdicts
 
 
-BERMAN_DEFAULTS = {
-    "gamma1": 0.26,
-    "gamma2": 0.10,
-    "n_grid": [20, 40, 80],
-    "c": 1.0,
-    "reps": 2000,
-    "seed": 20240901,
-}
+# the squares, replications and levels of sectorial-test
+BERMAN_DEFAULTS = SECTORIAL_DEFAULTS
 
 
-def cmd_berman(cfg: dict, out: str) -> int:
-    model = GaussianSeparableField(example_covariance(GammaPair(cfg["gamma1"], cfg["gamma2"])))
+def cmd_berman(cfg: dict, out: str):
+    model = GaussianSeparableField(_example_covariance(cfg))
     maxes = _grid_maxes(model, cfg) if cfg["reps"] > 0 else None
     rows = []
-    all_ok = True
     for i, n in enumerate(cfg["n_grid"]):
         u = phantom.levels_u(cfg["c"], n)
         b = diagnostics.berman_bound(model.cov, n, u)
         if cfg["reps"] > 0:
             g = diagnostics.bound_vs_maxima(model.cov, maxes[i], n, u)
-            all_ok = all_ok and g.verdict
             rows.append((n, u, b.total, b.sigma1, b.sigma2, b.alpha, g.gap, g.se, g.verdict))
         else:
             rows.append((n, u, b.total, b.sigma1, b.sigma2, b.alpha, "", "", ""))
-    verdicts = {"bound_dominates": bool(all_ok)} if cfg["reps"] > 0 else {}
-    _write_outputs(
-        out,
-        "berman",
-        cfg,
-        ["n", "u", "bound", "sigma1", "sigma2", "alpha", "gap", "se", "verdict"],
-        rows,
-        verdicts,
-    )
-    return 0 if all_ok else 2
+    verdicts = {"bound_dominates": all(bool(row[-1]) for row in rows)} if cfg["reps"] > 0 else {}
+    return ["n", "u", "bound", "sigma1", "sigma2", "alpha", "gap", "se", "verdict"], rows, verdicts
 
 
 SIMULATE_DEFAULTS = {
-    "model": {"kind": "gaussian_separable", "gamma1": 0.26, "gamma2": 0.10},
+    "model": {"kind": "gaussian_separable"},
     "dims": [16, 16],
     "seed": 20240901,
 }
 
 
-def cmd_simulate(cfg: dict, out: str) -> int:
+def cmd_simulate(cfg: dict, out: str):
     model = _model_from_config(cfg["model"])
     sample = model.sample(tuple(cfg["dims"]), cfg["seed"])
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dump_csv(sample, out_dir / "field.csv")
-    _write_outputs(
-        out,
-        "simulate",
-        cfg,
-        ["dims", "seed", "min", "max", "mean"],
-        [
-            (
-                "x".join(map(str, sample.dims)),
-                cfg["seed"],
-                float(sample.values.min()),
-                float(sample.values.max()),
-                float(sample.values.mean()),
-            )
-        ],
-        {},
+    dump_csv(sample, _out_dir(out) / "field.csv")
+    row = (
+        "x".join(map(str, sample.dims)),
+        cfg["seed"],
+        float(sample.values.min()),
+        float(sample.values.max()),
+        float(sample.values.mean()),
     )
-    return 0
+    return ["dims", "seed", "min", "max", "mean"], [row], {}
 
 
 COMMANDS = {
@@ -496,10 +444,12 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         fn, defaults = COMMANDS[args.command]
         cfg = _load_config(args.config, defaults, args)
-        return fn(cfg, args.out)
+        header, rows, verdicts = fn(cfg, args.out)
     except (ConfigError, ValueError, FactorizationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    _write_outputs(args.out, args.command, cfg, header, rows, verdicts)
+    return 0 if all(verdicts.values()) else 2
 
 
 if __name__ == "__main__":

@@ -76,6 +76,8 @@ class MonotoneCurve:
 
 
 def curve_diagonal(d: int = 2) -> MonotoneCurve:
+    if d < 1:
+        raise ValueError(f"diagonal curve needs d >= 1, got {d}")
     return MonotoneCurve(fn=lambda n: (n,) * d, d=d, name="diagonal")
 
 
@@ -96,10 +98,14 @@ def curve_psi_example() -> MonotoneCurve:
 
 
 def curve_from_table(points, name: str = "table") -> MonotoneCurve:
-    """The curve through row n of ``points`` at n; a decreasing row is an error, not repaired."""
+    """The curve through row n of ``points`` at n, in N^d: a coordinate below 1 or a
+    decreasing row is an error, not repaired."""
     pts = np.asarray(points, dtype=np.int64)
-    if pts.ndim != 2:
-        raise ValueError("table must be a sequence of lattice points")
+    if pts.ndim != 2 or pts.size == 0:
+        raise ValueError("table must be a nonempty sequence of lattice points")
+    low = np.flatnonzero(np.any(pts < 1, axis=1))
+    if low.size:
+        raise ValueError(f"table curve has a coordinate below 1 at row {low[0] + 1}: {pts[low[0]].tolist()}")
     dec = np.flatnonzero(np.any(np.diff(pts, axis=0) < 0, axis=1))
     if dec.size:
         n = int(dec[0]) + 2  # the 1-based row of the first point below its predecessor

@@ -159,7 +159,7 @@ class TwoAtomInnovations:
 
 
 def _rectangle(dims) -> tuple[int, ...]:
-    dims = tuple(dims)
+    dims = tuple(int(n) for n in dims)
     if any(n < 1 for n in dims):
         raise ValueError(f"dims must be >= 1 componentwise, got {dims}")
     return dims

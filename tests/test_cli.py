@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from phantomfields.cli import COMMANDS, CURVE_FIELDS, INNOVATION_FIELDS, MODEL_FIELDS, main
+from phantomfields.cli import COMMANDS, KINDS, _load_config, main
 
 
 def run(args):
@@ -348,17 +349,31 @@ class TestInputErrors:
             ({"kind": "diagonal", "d": "x"}, "curve field 'd' must be a nonnegative integer"),
             ({"kind": "spiral"}, "curve kind must be one of diagonal, psi_example, table"),
             ({"kind": "table", "table": [[4, 4], [1, 1], [2, 2]]}, "table curve decreases at row 2: [1, 1] after [4, 4]"),
+            ({"kind": "diagonal", "d": 0}, "diagonal curve needs d >= 1, got 0"),
+            ({"kind": "table", "table": [[0, 0], [1, 1], [2, 2]]}, "table curve has a coordinate below 1 at row 1: [0, 0]"),
         ],
     )
     def test_bad_curve_field(self, tmp_path, capsys, curve, message):
         # a missing table was a KeyError traceback, "dd" ran silently with d = 2,
-        # d: "x" failed without naming the field, and a decreasing table ran at
-        # its last point
+        # d: "x" failed without naming the field, a decreasing table ran at
+        # its last point, d = 0 reported beta 0.0 on a 0-dimensional box, and a
+        # row with a 0 coordinate ran on a box of 0 cells (with an iid model and
+        # level null, a ZeroDivisionError traceback)
         cfg = write_cfg(tmp_path, {"curve": curve})
         assert run(["beta", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}")
         assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["sectorial-test", "directional-test", "berman"])
+    @pytest.mark.parametrize("gammas", [(-1, -1), (0.9, 0.9)])
+    def test_infeasible_gamma_pair(self, tmp_path, capsys, command, gammas):
+        # directional-test ran both: -1, -1 exited 0 with every verdict true
+        cfg = write_cfg(tmp_path, {"gamma1": gammas[0], "gamma2": gammas[1]})
+        assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: gamma pair ") and err.endswith(" fails the feasibility chain\n")
         assert not (tmp_path / "o").exists()
 
     def test_usage_error_exits_1(self, tmp_path, capsys):
@@ -374,6 +389,52 @@ class TestInputErrors:
         import phantomfields
 
         assert read_summary(tmp_path / "o")["version"] == phantomfields.__version__
+
+
+# the nested objects of each command's default config, every default filled in
+RESOLVED_DEFAULTS = {
+    "simulate": {"model": {"kind": "gaussian_separable", "gamma1": 0.26, "gamma2": 0.10}},
+    "extremal-index": {"model": {"kind": "moving_max", "window": [2, 2], "innovations": {"kind": "uniform"}}},
+    "beta": {
+        "model": {
+            "kind": "moving_max",
+            "window": [2, 2],
+            "innovations": {"kind": "two_atom", "lo": 0.0, "hi": 1.0, "p_lo": 0.5},
+        },
+        "curve": {"kind": "diagonal", "d": 2},
+    },
+}
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_default_config_is_resolved(command):
+    """No file and no flags: the config summary.json records, to the byte."""
+    defaults = COMMANDS[command][1]
+    cfg = _load_config(None, defaults, argparse.Namespace(seed=None, reps=None))
+    expected = {**defaults, **RESOLVED_DEFAULTS.get(command, {})}
+    if "gamma1" in defaults:  # the example field's pair, shared with the library's default
+        expected.update(gamma1=0.26, gamma2=0.10)
+    assert json.dumps(cfg, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "command, payload, key, recorded",
+    [
+        ("simulate", {"model": {"kind": "iid"}, "dims": [2, 2]}, "model", {"kind": "iid", "marginal": "uniform"}),
+        (
+            "simulate",
+            {"model": {"kind": "moving_max", "innovations": {"kind": "two_atom", "lo": 0}}, "dims": [2, 2]},
+            "model",
+            {"kind": "moving_max", "window": [2, 2], "innovations": {"kind": "two_atom", "lo": 0, "hi": 1.0, "p_lo": 0.5}},
+        ),
+        ("beta", {"curve": {}}, "curve", {"kind": "diagonal", "d": 2}),
+    ],
+)
+def test_partial_nested_config_records_defaults(tmp_path, command, payload, key, recorded):
+    # summary.json recorded the object as given, not the config that ran
+    cfg = write_cfg(tmp_path, payload)
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert read_summary(tmp_path / "o")["config"][key] == recorded
 
 
 HEAVY_SCIPY = ("scipy.stats", "scipy.integrate", "scipy.optimize")
@@ -428,6 +489,11 @@ def test_startup_leaves_out_heavy_scipy(tmp_path):
             assert (sub in loaded) == (sub in uses), (name, sub)
 
 
+# the fields of each kind of each nested object, besides "kind"
+MODEL_FIELDS, INNOVATION_FIELDS, CURVE_FIELDS = (
+    {kind: tuple(fields) for kind, fields in KINDS[what].items()} for what in ("model", "innovations", "curve")
+)
+
 # one config field replaced by an arbitrary small JSON value
 SCALARS = st.one_of(
     st.integers(-2, 4),
@@ -474,6 +540,22 @@ def test_config_fuzz_exits_cleanly(tmp_path, capsys, command, key, data):
     """Any one config field set to a small JSON value: exit 0, 1 or 2, and an input error is one line."""
     defaults = COMMANDS[command][1]
     cfg = write_cfg(tmp_path, {key: data.draw(field_values(defaults[key]), label="value")})
+    reps = ["--reps", "2"] if "reps" in defaults else []
+    code = main([command, "--config", cfg, *reps, "--out", str(tmp_path / "o")])
+    assert code in (0, 1, 2)
+    err = capsys.readouterr().err
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+@settings(max_examples=40, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_config_fuzz_several_fields(tmp_path, capsys, command, data):
+    """Two or three config fields set together: exit 0, 1 or 2, and an input error is one line."""
+    defaults = COMMANDS[command][1]
+    keys = data.draw(st.lists(st.sampled_from(list(defaults)), min_size=2, max_size=3, unique=True), label="keys")
+    cfg = write_cfg(tmp_path, {key: data.draw(field_values(defaults[key]), label=key) for key in keys})
     reps = ["--reps", "2"] if "reps" in defaults else []
     code = main([command, "--config", cfg, *reps, "--out", str(tmp_path / "o")])
     assert code in (0, 1, 2)

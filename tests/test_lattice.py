@@ -105,6 +105,20 @@ class TestCurves:
         with pytest.raises(ValueError):
             curve_from_config({"kind": "spiral"})
 
+    def test_curves_live_on_n_d(self):
+        # a 0-dimensional diagonal ran beta on an empty box, and a 0 coordinate
+        # gave a 0-cell rectangle (a ZeroDivisionError in the iid block level)
+        with pytest.raises(ValueError, match=r"diagonal curve needs d >= 1, got 0"):
+            curve_diagonal(0)
+        with pytest.raises(ValueError, match=r"d >= 1"):
+            curve_from_config({"kind": "diagonal", "d": 0})
+        with pytest.raises(ValueError, match=r"coordinate below 1 at row 1: \[0, 0\]"):
+            curve_from_table([[0, 0], [1, 1]])
+        with pytest.raises(ValueError, match=r"coordinate below 1 at row 3: \[2, 0\]"):
+            curve_from_table([[1, 1], [2, 2], [2, 0]])
+        with pytest.raises(ValueError, match=r"nonempty sequence of lattice points"):
+            curve_from_table([[]])
+
     def test_table_must_not_decrease(self):
         # the first row below its predecessor is named; no running-max repair
         with pytest.raises(ValueError, match=r"decreases at row 2: \[1, 1\] after \[4, 4\]"):

@@ -410,6 +410,12 @@ class TestEquicorrelated:
             equicorrelated_maxes(10, 1.0, 10, seed=1)
 
 
+def test_empty_rectangle_message_has_plain_ints(gauss):
+    # a curve table row reached the check as numpy ints: "got (np.int64(0), np.int64(1))"
+    with pytest.raises(ValueError, match=r"^dims must be >= 1 componentwise, got \(0, 1\)$"):
+        gauss.sample_values(np.array([0, 1]), np.random.default_rng(0))
+
+
 def test_field_sample_shape_checked():
     with pytest.raises(ValueError):
         FieldSample(dims=(2, 3), values=np.zeros((3, 2)))
