@@ -29,15 +29,9 @@ from .diagnostics import (
 )
 from .lattice import (
     MonotoneCurve,
-    Rectangle,
-    block_max,
     curve_diagonal,
-    curve_from_config,
     curve_from_table,
     curve_psi_example,
-    densify_to_curve,
-    in_neighborhood,
-    validate_curve,
 )
 from .phantom import (
     EmpiricalLaw,

@@ -3,16 +3,17 @@
 Subcommands: simulate | sectorial-test | directional-test | extremal-index
 | beta | berman. Each run resolves a config (built-in defaults <- JSON
 config file <- CLI flags) and checks all of it before the command runs:
-a field keeps the type of its default, and a nested object (``model``,
-its ``innovations``, beta's ``curve``) names one of its kinds in
-``KINDS`` and only that kind's fields, whose defaults are filled in.
-Ranges (a feasible gamma pair, a window or a curve coordinate >= 1) are
-the library's to check. A command returns its header, rows and verdicts;
-``main`` writes them to results.csv and summary.json in the output
-directory and exits 0 on success, 2 when a scientific verdict fails, 1
-on input errors, usage errors included. Outputs embed the resolved
-config and library version; rows are formatted deterministically so
-reruns with the same seed are byte-identical.
+a field keeps the type of its default, a tolerance is nonnegative, and
+a nested object (``model``, its ``innovations``, beta's ``curve``) names
+one of its kinds in ``KINDS`` and only that kind's fields, whose
+defaults are filled in. Other ranges (a feasible gamma pair, a window or
+a curve coordinate >= 1) are the library's to check. A command returns
+its header, rows and verdicts; ``main`` writes them to results.csv and
+summary.json in the output directory and exits 0 on success, 2 when a
+scientific verdict fails, 1 on input errors, usage errors included.
+Outputs embed the resolved config and library version; rows are
+formatted deterministically so reruns with the same seed are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from . import __version__
 from . import diagnostics, phantom
 from .covariance import DEFAULT_GAMMAS, GammaPair, example_covariance
-from .lattice import curve_from_config
+from .lattice import curve_diagonal, curve_from_table, curve_psi_example
 from .sampling import (
     FactorizationError,
     GaussianSeparableField,
@@ -66,6 +67,8 @@ REQUIRED_FIELDS = {"table"}
 CHOICES = {"marginal": ("uniform", "normal")}
 # fields whose null is meaningful: beta's level and extremal-index's expected_theta
 NULLABLE_FIELDS = {"level", "expected_theta"}
+# the tolerances a verdict compares against: a negative one fails every verdict
+NONNEGATIVE_FIELDS = {"tol", "tol_final", "separation_factor"}
 
 
 def _type_error(value, default) -> str | None:
@@ -113,6 +116,8 @@ def _checked(key: str, value, default, part: str = "config"):
     why = _type_error(value, default)
     if why:
         raise ConfigError(f"{part} field {key!r} {why}, got {json.dumps(value)}")
+    if key in NONNEGATIVE_FIELDS and not value >= 0:
+        raise ConfigError(f"{part} field {key!r} must be nonnegative, got {json.dumps(value)}")
     if key in CHOICES:
         _choice(f"{part} field {key!r}", value, CHOICES[key])
     if key not in KINDS:
@@ -214,6 +219,15 @@ def _model_from_config(model: dict):
         )
     # MovingMaxField rejects a window entry of 0
     return MovingMaxField(model["window"], innov)
+
+
+def _curve_from_config(curve: dict):
+    """The monotone curve of a resolved ``curve`` object."""
+    if curve["kind"] == "diagonal":
+        return curve_diagonal(curve["d"])
+    if curve["kind"] == "psi_example":
+        return curve_psi_example()
+    return curve_from_table(curve["table"])
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +353,9 @@ def cmd_beta(cfg: dict, out: str):
     if not 0.0 < cfg["gamma"] < 1.0:
         raise ConfigError(f"config field 'gamma' must lie in (0, 1), got {json.dumps(cfg['gamma'])}")
     model = _model_from_config(cfg["model"])
-    curve = curve_from_config(cfg["curve"])
+    curve = _curve_from_config(cfg["curve"])
     n, k, T = cfg["n"], cfg["k"], cfg["T"]
+    bound = diagnostics.constraint_box(curve, T, n)
     if cfg["level"] is not None:
         levels = float(cfg["level"])
     elif model.exact_block_max_cdf((1,) * curve.d, 0.5) is not None:
@@ -349,7 +364,6 @@ def cmd_beta(cfg: dict, out: str):
         levels = phantom.estimate_level_sequence(
             model, curve, cfg["gamma"], n, cfg["reps"], cfg["seed"]
         )
-    bound = tuple(int(math.floor(T * c)) for c in curve(n))
 
     def estimate(k):
         splits = diagnostics.exhaustive_splits(bound, k) if cfg["exhaustive"] else None

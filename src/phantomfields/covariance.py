@@ -19,7 +19,6 @@ the tail; beyond them its closed-form tail rule gives the values.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -69,10 +68,6 @@ class CharacteristicPolygon:
                 frac = tb - k
                 out[beyond] = self.tail(k) * (1.0 - frac) + self.tail(k + 1.0) * frac
         return float(out[0]) if scalar else out
-
-    @property
-    def knots(self) -> np.ndarray:
-        return np.column_stack([self.knots_t, self.knots_v])
 
 
 def validate_polya(p: CharacteristicPolygon) -> tuple[bool, list[str]]:
@@ -247,45 +242,3 @@ def example_covariance(gammas: GammaPair = DEFAULT_GAMMAS) -> SeparableCovarianc
         gammas=gammas,
     )
 
-
-def to_config(c: SeparableCovariance) -> dict:
-    cfg = {"d": c.d}
-    if c.gammas is not None:
-        cfg["gamma1"] = c.gammas.gamma1
-        cfg["gamma2"] = c.gammas.gamma2
-    else:
-        cfg["axes"] = [{"knots": ax.knots.tolist()} for ax in c.axes]
-    return cfg
-
-
-def from_config(cfg: dict | str) -> SeparableCovariance:
-    """Build a covariance from a JSON document / dict.
-
-    Schema: {"gamma1": number, "gamma2": number, "d": integer} with
-    optional "axes": [{"knots": [[t, v], ...]}, ...] overriding the knot
-    lists explicitly. With the gamma form, axes alternate eta1/eta2
-    (d = 1 uses eta1 only; the canonical model is d = 2).
-    """
-    if isinstance(cfg, str):
-        cfg = json.loads(cfg)
-    d = int(cfg.get("d", 2))
-    if "axes" in cfg:
-        axes = []
-        for axis_cfg in cfg["axes"]:
-            knots = np.asarray(axis_cfg["knots"], dtype=np.float64)
-            poly = CharacteristicPolygon(knots_t=knots[:, 0].copy(), knots_v=knots[:, 1].copy())
-            ok, diags = validate_polya(poly)
-            if not ok:
-                raise InfeasibleParameterError(f"knot override invalid: {diags[0]}")
-            axes.append(poly)
-        if len(axes) != d:
-            raise ValueError(f"expected {d} axes, got {len(axes)}")
-        return SeparableCovariance(axes=tuple(axes))
-    gammas = GammaPair(float(cfg["gamma1"]), float(cfg["gamma2"]))
-    if d == 2:
-        return example_covariance(gammas)
-    if not validate_gammas(gammas):
-        raise InfeasibleParameterError(f"gamma pair {gammas} fails the feasibility chain")
-    builders = [build_eta1, build_eta2]
-    axes = tuple(builders[i % 2]((gammas.gamma1, gammas.gamma2)[i % 2]) for i in range(d))
-    return SeparableCovariance(axes=axes, gammas=gammas)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -144,6 +144,18 @@ class BetaReport:
         }
 
 
+def constraint_box(psi: MonotoneCurve, T: float, n: int) -> tuple[int, ...]:
+    """The box floor(T * psi(n)) that beta's splits fill; a coordinate that is
+    not finite or below 1 is an error."""
+    scaled = tuple(T * c for c in psi(n))
+    if not all(map(math.isfinite, scaled)):
+        raise ValueError(f"constraint box T * psi(n) = {scaled} is not finite")
+    bound = tuple(math.floor(x) for x in scaled)
+    if any(b < 1 for b in bound):
+        raise ValueError(f"constraint box floor(T * psi(n)) = {bound} has a coordinate below 1")
+    return bound
+
+
 def beta_k_estimate(
     model,
     psi: MonotoneCurve,
@@ -167,10 +179,7 @@ def beta_k_estimate(
     if k < 2:
         raise ValueError("k must be >= 2")
     level = levels if isinstance(levels, (int, float)) else _level_at(levels, n)
-    point = psi(n)
-    bound = tuple(int(math.floor(T * c)) for c in point)
-    if any(b < 0 for b in bound):
-        raise ValueError("constraint box must be nonnegative")
+    bound = constraint_box(psi, T, n)
     if mode not in ("auto", "exact", "mc"):
         raise ValueError(f"mode must be auto, exact or mc, got {mode!r}")
     has_exact = model.exact_block_max_cdf(bound, level) is not None
@@ -243,11 +252,6 @@ def enumeration_beta(model, bound, level: float, k: int = 2) -> float:
 # ---------------------------------------------------------------------------
 
 
-def default_L_rule(delta: float) -> float:
-    """Standard normal-comparison constant (1/2pi) / sqrt(1 - delta^2)."""
-    return (1.0 / (2.0 * math.pi)) / math.sqrt(1.0 - delta * delta)
-
-
 @dataclass(frozen=True)
 class BermanReport:
     total: float
@@ -265,7 +269,6 @@ def berman_bound(
     c: SeparableCovariance,
     n: int,
     u: float,
-    L_rule=None,
     alpha: float | None = None,
     method: str = "direct",
 ) -> BermanReport:
@@ -284,7 +287,7 @@ def berman_bound(
     if c.d != 2:
         raise ValueError("the comparison bound is implemented for d = 2")
     delta = delta_sup(c, 1).value
-    L = (L_rule or default_L_rule)(delta)
+    L = (1.0 / (2.0 * math.pi)) / math.sqrt(1.0 - delta * delta)  # the normal-comparison constant
     if alpha is None:
         hi = (1.0 - 3.0 * delta) / (1.0 + delta)
         if hi <= 0:

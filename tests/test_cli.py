@@ -123,6 +123,20 @@ class TestOthers:
         assert code == 0
         assert read_summary(tmp_path / "o")["verdicts"]["growth_inequality"] is True
 
+    @pytest.mark.parametrize(
+        "payload, bound",
+        [
+            ({"model": {"kind": "iid"}, "curve": {"kind": "diagonal", "d": 3}, "n": 2}, [2, 2, 2]),
+            ({"curve": {"kind": "psi_example"}, "n": 3}, [2, 1]),
+            ({"curve": {"kind": "table", "table": [[1, 1], [2, 1], [2, 2]]}, "n": 2}, [2, 1]),
+        ],
+    )
+    def test_beta_curve_kinds(self, tmp_path, payload, bound):
+        # each curve kind puts beta's box at psi(n)
+        cfg = write_cfg(tmp_path, payload)
+        assert run(["beta", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert json.loads((tmp_path / "o" / "beta.json").read_text())["bound"] == bound
+
     def test_berman_bound_only(self, tmp_path):
         cfg = write_cfg(tmp_path, {"n_grid": [5, 10], "reps": 0})
         code = run(["berman", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -338,6 +352,32 @@ class TestInputErrors:
         cfg = write_cfg(tmp_path, {"gamma": gamma})
         assert run(["beta", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == f"error: config field 'gamma' must lie in (0, 1), got {gamma}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "T, message",
+        [
+            (0, "constraint box floor(T * psi(n)) = (0, 0) has a coordinate below 1"),
+            (0.3, "constraint box floor(T * psi(n)) = (0, 0) has a coordinate below 1"),
+            (1e308, "constraint box T * psi(n) = (inf, inf) is not finite"),
+        ],
+    )
+    def test_beta_box_out_of_range(self, tmp_path, capsys, T, message):
+        # T = 0 and 0.3 reported beta 0.0 for a box of no cells; 1e308 was an OverflowError traceback
+        cfg = write_cfg(tmp_path, {"T": T})
+        assert run(["beta", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [("extremal-index", "tol"), ("directional-test", "tol_final"), ("directional-test", "separation_factor")],
+    )
+    def test_negative_tolerance(self, tmp_path, capsys, command, key):
+        # a negative tolerance was a failed or vacuous verdict (exit 2), not an input error
+        cfg = write_cfg(tmp_path, {key: -1})
+        assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: config field {key!r} must be nonnegative, got -1\n"
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(

@@ -18,7 +18,6 @@ from phantomfields import (
     validate_gammas,
     validate_polya,
 )
-from phantomfields.covariance import from_config, to_config
 
 
 def loglog(k):
@@ -242,31 +241,13 @@ def test_feasible_pairs_build_valid_polygons(g1, g2):
 
 
 class TestConfig:
-    def test_roundtrip(self):
-        cov = example_covariance()
-        cfg = to_config(cov)
-        assert cfg == {"d": 2, "gamma1": 0.26, "gamma2": 0.10}
-        cov2 = from_config(cfg)
-        assert covariance_at(cov2, (17, 5)) == covariance_at(cov, (17, 5))
-
-    def test_json_string_accepted(self):
-        cov = from_config('{"gamma1": 0.26, "gamma2": 0.10, "d": 2}')
-        assert cov.d == 2
-
     def test_knot_override(self):
-        cfg = {
-            "d": 1,
-            "axes": [{"knots": [[0.0, 1.0], [1.0, 0.5], [2.0, 0.4]]}],
-        }
-        cov = from_config(cfg)
+        # a covariance from an explicit knot list, not the eta builders
+        knots_t, knots_v = np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.5, 0.4])
+        cov = SeparableCovariance(axes=(CharacteristicPolygon(knots_t=knots_t, knots_v=knots_v),))
         assert covariance_at(cov, (1,)) == 0.5
         # constant extension beyond the last knot
         assert covariance_at(cov, (10,)) == 0.4
-
-    def test_invalid_override_rejected(self):
-        cfg = {"d": 1, "axes": [{"knots": [[0.0, 1.0], [1.0, 0.5], [2.0, 0.9]]}]}
-        with pytest.raises(InfeasibleParameterError):
-            from_config(cfg)
 
     def test_infeasible_pair_rejected(self):
         with pytest.raises(InfeasibleParameterError):

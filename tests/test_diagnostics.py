@@ -207,10 +207,6 @@ class TestBermanBound:
         hi = (1.0 - 3.0 * rep.delta) / (1.0 + rep.delta)
         assert 0.0 < rep.alpha < hi
 
-    def test_custom_L_rule_recorded(self, cov):
-        rep = berman_bound(cov, 5, 3.0, L_rule=lambda d: 1.0)
-        assert rep.L == 1.0
-
     def test_rejects_bad_args(self, cov):
         with pytest.raises(ValueError):
             berman_bound(cov, 5, 0.0)

@@ -11,10 +11,13 @@ from phantomfields import (
     CharacteristicPolygon,
     FactorizationError,
     FieldSample,
+    GammaPair,
     GaussianSeparableField,
     IIDField,
     MovingMaxField,
     TwoAtomInnovations,
+    build_eta1,
+    build_eta2,
     covariance_at,
     equicorrelated_maxes,
     equicorrelated_max_cdf,
@@ -22,7 +25,7 @@ from phantomfields import (
     replication_rng,
 )
 from phantomfields import sampling
-from phantomfields.covariance import SeparableCovariance, from_config
+from phantomfields.covariance import SeparableCovariance
 from phantomfields.sampling import _NormalMarginal, _UniformMarginal, dump_csv, toeplitz_cholesky
 
 
@@ -190,7 +193,8 @@ class TestGaussianExactness:
     )
     def test_implied_covariance_is_target(self, cov, dims, model):
         if model == "d3":
-            cov = from_config({"gamma1": 0.26, "gamma2": 0.10, "d": 3})
+            axes = (build_eta1(0.26), build_eta2(0.10), build_eta1(0.26))
+            cov = SeparableCovariance(axes=axes, gammas=GammaPair(0.26, 0.10))
         field = GaussianSeparableField(cov)
         N = math.prod(dims)
         # replication r carries the unit vector e_r, so column r of A is the
