@@ -58,7 +58,6 @@ from .phantom import (
 )
 from .sampling import (
     FactorizationError,
-    FieldSample,
     GaussianSeparableField,
     IIDField,
     MovingMaxField,

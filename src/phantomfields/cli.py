@@ -39,7 +39,6 @@ from .sampling import (
     TwoAtomInnovations,
     _NormalMarginal,
     _UniformMarginal,
-    dump_csv,
     sub_seed as _sub_seed,
 )
 
@@ -75,15 +74,18 @@ def _type_error(value, default) -> str | None:
     """Why ``value`` cannot replace ``default``, or None if it can.
 
     A value keeps the JSON type of its default (an integer may stand for a
-    float); integers, alone or in a list, are counts or seeds, so >= 0, and
-    a list of them is a grid or a shape, so nonempty. A list of such lists
-    is a table, whose rows are all of one length.
+    float). A number is finite: Python's json reads NaN and Infinity, and
+    an integer past the float range overflows. Integers, alone or in a
+    list, are counts or seeds, so >= 0, and a list of them is a grid or a
+    shape, so nonempty. A list of such lists is a table, whose rows are
+    all of one length.
     """
     count = lambda v: type(v) is int and v >= 0
     if type(default) is int:
         ok, kind = count(value), "a nonnegative integer"
     elif type(default) is float:
-        ok, kind = type(value) in (int, float), "a number"
+        number = type(value) in (int, float)
+        ok, kind = number and abs(value) <= sys.float_info.max, "a finite number" if number else "a number"
     elif type(default) is list and type(default[0]) is int:
         ok = type(value) is list and len(value) > 0 and all(map(count, value))
         kind = "a nonempty list of nonnegative integers"
@@ -193,6 +195,14 @@ def _write_outputs(out_dir: str, command: str, cfg: dict, header, rows, verdicts
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_field(out_dir: str, values, seed) -> None:
+    """field.csv: a comment with the dims and seed, then one row of values per index of axis 0."""
+    with open(_out_dir(out_dir) / "field.csv", "w", newline="") as fh:
+        fh.write(f"# dims={','.join(map(str, values.shape))} seed={seed}\n")
+        for row in values.reshape(values.shape[0], -1):
+            fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
 def _example_covariance(cfg: dict):
@@ -413,15 +423,10 @@ SIMULATE_DEFAULTS = {
 
 def cmd_simulate(cfg: dict, out: str):
     model = _model_from_config(cfg["model"])
-    sample = model.sample(tuple(cfg["dims"]), cfg["seed"])
-    dump_csv(sample, _out_dir(out) / "field.csv")
-    row = (
-        "x".join(map(str, sample.dims)),
-        cfg["seed"],
-        float(sample.values.min()),
-        float(sample.values.max()),
-        float(sample.values.mean()),
-    )
+    values = model.sample_values(cfg["dims"], np.random.default_rng(cfg["seed"]))
+    _write_field(out, values, cfg["seed"])
+    dims = "x".join(map(str, values.shape))
+    row = (dims, cfg["seed"], float(values.min()), float(values.max()), float(values.mean()))
     return ["dims", "seed", "min", "max", "mean"], [row], {}
 
 

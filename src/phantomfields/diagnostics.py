@@ -21,7 +21,7 @@ import numpy as np
 from . import kernels
 from .covariance import SeparableCovariance, delta_sup
 from .lattice import MonotoneCurve
-from .sampling import TwoAtomInnovations, _NormalMarginal
+from .sampling import MovingMaxField, TwoAtomInnovations, _NormalMarginal
 
 
 @dataclass(frozen=True)
@@ -222,29 +222,29 @@ def _level_at(levels, n: int) -> float:
     return float(levels.levels[i])
 
 
-def enumeration_block_cdf(model, dims, level: float) -> float:
-    """P(M_dims <= level) by exhaustive enumeration of innovation configs.
+def _enumerated(model, bound, level: float):
+    """dims -> P(M_dims <= level) over the sub-blocks of ``bound``, by enumeration.
 
     Only for 2-d moving-max models with two-atom innovations and at most
     25 innovation sites; independent of the dilation-counting closed form.
     """
-    innov = getattr(model, "innovations", None)
-    if not isinstance(innov, TwoAtomInnovations):
+    if not (isinstance(model, MovingMaxField) and isinstance(model.innovations, TwoAtomInnovations)):
         raise ValueError("enumeration oracle needs a moving-max model with two-atom innovations")
-    if len(dims) != 2:
+    if len(bound) != 2:
         raise ValueError("enumeration oracle is 2-d only")
-    dims = tuple(int(x) for x in dims)
-    table = kernels.enum_block_cdf_table(dims, model.window, innov.lo, innov.hi, innov.p_lo, level)
-    return _reader(table)(dims)
+    innov = model.innovations
+    bound = tuple(int(b) for b in bound)
+    return _reader(kernels.enum_block_cdf_table(bound, model.window, innov.lo, innov.hi, innov.p_lo, level))
+
+
+def enumeration_block_cdf(model, dims, level: float) -> float:
+    """P(M_dims <= level) by exhaustive enumeration of innovation configs."""
+    return _enumerated(model, dims, level)(tuple(int(x) for x in dims))
 
 
 def enumeration_beta(model, bound, level: float, k: int = 2) -> float:
     """beta over the FULL admissible split set with enumerated probabilities."""
-    innov = model.innovations
-    table = kernels.enum_block_cdf_table(
-        tuple(int(b) for b in bound), model.window, innov.lo, innov.hi, innov.p_lo, level
-    )
-    return _beta_over(_reader(table), exhaustive_splits(bound, k), 2)[0]
+    return _beta_over(_enumerated(model, bound, level), exhaustive_splits(bound, k), 2)[0]
 
 
 # ---------------------------------------------------------------------------

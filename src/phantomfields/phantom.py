@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .lattice import MonotoneCurve
-from .sampling import _NormalMarginal, _rectangle, sub_seed
+from .sampling import _NormalMarginal, _UniformMarginal, _rectangle, sub_seed
 
 GH_NODES = 200
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -46,7 +46,6 @@ class PhantomCandidate:
     cdf: Callable
     name: str = "candidate"
     log_cdf: Callable | None = None
-    ppf: Callable | None = None
     breakpoints: np.ndarray | None = None
 
     def power(self, x, m: float):
@@ -65,23 +64,13 @@ class PhantomCandidate:
         """Left limit of G^m at x; equals power for continuous candidates."""
         return self.power(x, m)
 
-    def probe_points(self, m: float, k: int) -> np.ndarray | None:
-        if self.ppf is None:
-            return None
-        q = np.linspace(1.0 / (k + 1), 1.0 - 1.0 / (k + 1), k)
-        return np.asarray(self.ppf(q ** (1.0 / m)), dtype=np.float64)
-
 
 def normal_candidate() -> PhantomCandidate:
-    return PhantomCandidate(cdf=_PHI.cdf, log_cdf=_PHI.log_cdf, ppf=_PHI.ppf, name="Phi")
+    return PhantomCandidate(cdf=_PHI.cdf, log_cdf=_PHI.log_cdf, name="Phi")
 
 
 def uniform_candidate() -> PhantomCandidate:
-    return PhantomCandidate(
-        cdf=lambda x: np.clip(np.asarray(x, dtype=np.float64), 0.0, 1.0),
-        ppf=lambda q: np.asarray(q, dtype=np.float64),
-        name="uniform",
-    )
+    return PhantomCandidate(cdf=_UniformMarginal().cdf, name="uniform")
 
 
 class StepPhantom(PhantomCandidate):
@@ -105,7 +94,6 @@ class StepPhantom(PhantomCandidate):
             raise ValueError("levels must be strictly increasing")
         if len(self.levels) != len(self.psi_star) or len(self.levels) == 0:
             raise ValueError("levels and psi_star must be nonempty and aligned")
-        self.truncated = True
         super().__init__(cdf=self._cdf, name="G_psi", breakpoints=self.levels)
 
     def _power_at(self, x, m: float, side: str):
@@ -219,8 +207,8 @@ def phantom_distance(law, G: PhantomCandidate, m: float, grid: int = 4096) -> Di
 
     For step functions (empirical laws, level-built candidates) both
     one-sided values are checked at every jump, which makes the sup
-    exact; when both sides are continuous the sup is resolved on a
-    ``grid``-point probe set instead (resolution reported by the caller).
+    exact; a continuous law with a finite support is also probed on a
+    ``grid``-point mesh of it (resolution reported by the caller).
     """
     if m <= 0:
         raise ValueError("m must be positive")
@@ -233,15 +221,11 @@ def phantom_distance(law, G: PhantomCandidate, m: float, grid: int = 4096) -> Di
     support = getattr(law, "support", None)
     if support is not None:
         xs.append(np.array([s for s in support if math.isfinite(s)]))
-    if not xs or max(len(a) for a in xs) < 2:
-        pts = G.probe_points(m, grid)
-        if pts is not None:
-            xs.append(pts)
     if law_bp is None and support is not None and all(math.isfinite(s) for s in support):
         xs.append(np.linspace(support[0], support[1], grid))
     probes = np.unique(np.concatenate(xs)) if xs else np.empty(0)
     if len(probes) == 0:
-        raise ValueError("no probe points: law and candidate expose neither breakpoints nor a quantile map")
+        raise ValueError("no probe points: law and candidate expose neither breakpoints nor a finite support")
     d_right = np.abs(np.asarray(law.cdf(probes), dtype=np.float64) - G.power(probes, m))
     d_left = np.abs(np.asarray(law.cdf_left(probes), dtype=np.float64) - G.power_left(probes, m))
     d = np.maximum(d_right, d_left)
@@ -385,46 +369,46 @@ def _gh_nodes(nodes: int):
     return np.sqrt(2.0) * t, w / math.sqrt(math.pi)
 
 
-def limit_H(x, kappa: float, nodes: int = GH_NODES, method: str = "gauss-hermite"):
-    """The non-Gumbel limit law of the equicorrelated comparison array:
+def _normal_mean(f, x, nodes: int, method: str):
+    """E f(x, Z) for a standard normal Z, at each x, clipped to [0, 1].
 
-        H(x) = int exp(-exp(-x - kappa + sqrt(2 kappa) z)) phi(z) dz.
-
-    Strictly increasing in x with values in (0, 1); kappa -> 0 recovers
-    the Gumbel law. Default is Gauss-Hermite quadrature (the integrand is
-    a smooth sigmoid in z, overflow-clipped in the exponent); the
-    adaptive method integrates with scipy.quad instead and is used as a
-    cross-check oracle in the tests.
+    ``f`` is a distribution function of x mixed over Z and takes arrays
+    that broadcast. Gauss-Hermite quadrature by default; the adaptive
+    method integrates with scipy.quad instead, the cross-check oracle of
+    the tests. A scalar x gives a float, an array an array.
     """
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
     x = np.asarray(x, dtype=np.float64)
-    scalar = x.ndim == 0
     xv = np.atleast_1d(x)
     if method == "adaptive":
         # scipy.integrate is imported only here: it loads scipy.optimize and
         # scipy.sparse, which no CLI command needs
         from scipy import integrate
 
-        out = np.array(
-            [
-                integrate.quad(
-                    lambda z: math.exp(-math.exp(min(-xi - kappa + math.sqrt(2 * kappa) * z, 700.0)))
-                    * _normal_pdf(z),
-                    -np.inf,
-                    np.inf,
-                    epsabs=1e-12,
-                    epsrel=1e-12,
-                )[0]
-                for xi in xv
-            ]
-        )
+        quad = lambda xi: integrate.quad(
+            lambda z: f(xi, z) * _normal_pdf(z), -np.inf, np.inf, epsabs=1e-12, epsrel=1e-12
+        )[0]
+        out = np.array([quad(xi) for xi in xv])
     else:
         z, w = _gh_nodes(nodes)
-        u = -xv[:, None] - kappa + math.sqrt(2.0 * kappa) * z[None, :]
-        out = np.exp(-np.exp(np.minimum(u, 700.0))) @ w
+        out = f(xv[:, None], z[None, :]) @ w
     out = np.clip(out, 0.0, 1.0)
-    return float(out[0]) if scalar else out
+    return float(out[0]) if x.ndim == 0 else out
+
+
+def limit_H(x, kappa: float, nodes: int = GH_NODES, method: str = "gauss-hermite"):
+    """The non-Gumbel limit law of the equicorrelated comparison array:
+
+        H(x) = int exp(-exp(-x - kappa + sqrt(2 kappa) z)) phi(z) dz,
+
+    the mixed-Gumbel law of Mittal & Ylvisaker (1975). Strictly increasing
+    in x with values in (0, 1); kappa -> 0 recovers the Gumbel law. The
+    integrand is a smooth sigmoid in z, overflow-clipped in the exponent
+    (see ``_normal_mean`` for the methods).
+    """
+    if kappa <= 0:
+        raise ValueError("kappa must be positive")
+    s = math.sqrt(2.0 * kappa)
+    return _normal_mean(lambda x, z: np.exp(-np.exp(np.minimum(-x - kappa + s * z, 700.0))), x, nodes, method)
 
 
 def equicorrelated_max_cdf(
@@ -435,39 +419,14 @@ def equicorrelated_max_cdf(
         int Phi((w - sqrt(rho) z) / sqrt(1 - rho))^N phi(z) dz,
 
     with Phi^N evaluated as exp(N * log Phi) so huge N stays finite.
-    rho = 0 reduces to Phi(w)^N exactly.
+    rho = 0 gives Phi(w)^N up to the rounding of the quadrature weights.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     if not 0.0 <= rho < 1.0:
         raise ValueError("rho must be in [0, 1)")
-    w_arr = np.asarray(w, dtype=np.float64)
-    scalar = w_arr.ndim == 0
-    wv = np.atleast_1d(w_arr)
-    if rho == 0.0:
-        out = np.exp(N * _PHI.log_cdf(wv))
-    elif method == "adaptive":
-        from scipy import integrate
-
-        out = np.array(
-            [
-                integrate.quad(
-                    lambda z: math.exp(N * _PHI.log_cdf((wi - math.sqrt(rho) * z) / math.sqrt(1 - rho)))
-                    * _normal_pdf(z),
-                    -np.inf,
-                    np.inf,
-                    epsabs=1e-12,
-                    epsrel=1e-12,
-                )[0]
-                for wi in wv
-            ]
-        )
-    else:
-        z, wts = _gh_nodes(nodes)
-        arg = (wv[:, None] - math.sqrt(rho) * z[None, :]) / math.sqrt(1.0 - rho)
-        out = np.exp(N * _PHI.log_cdf(arg)) @ wts
-    out = np.clip(out, 0.0, 1.0)
-    return float(out[0]) if scalar else out
+    r, s = math.sqrt(rho), math.sqrt(1.0 - rho)
+    return _normal_mean(lambda w, z: np.exp(N * _PHI.log_cdf((w - r * z) / s)), w, nodes, method)
 
 
 # ---------------------------------------------------------------------------

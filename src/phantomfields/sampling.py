@@ -58,26 +58,6 @@ def sub_seed(seed: int, tag: int) -> int:
     return int(np.random.SeedSequence([seed, tag]).generate_state(1, np.uint64)[0])
 
 
-@dataclass(frozen=True)
-class FieldSample:
-    dims: tuple[int, ...]
-    values: np.ndarray
-    seed: int | None = None
-
-    def __post_init__(self):
-        if self.values.shape != tuple(self.dims):
-            raise ValueError(f"values shape {self.values.shape} != dims {self.dims}")
-
-
-def dump_csv(sample: FieldSample, path) -> None:
-    """Row-major CSV dump with a header comment carrying dims and seed."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# dims={','.join(map(str, sample.dims))} seed={sample.seed}\n")
-        flat = sample.values.reshape(sample.dims[0], -1)
-        for row in flat:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # innovation / marginal distributions
 #
@@ -226,11 +206,6 @@ class FieldModel:
         """Level v with P(M_dims <= v) = gamma, for models with exact laws."""
         return None
 
-    def sample(self, dims, seed: int) -> FieldSample:
-        """Replication 0 of the stream of ``seed``, as a ``FieldSample``."""
-        values = self.sample_values(dims, np.random.default_rng(seed))
-        return FieldSample(dims=tuple(dims), values=values, seed=seed)
-
     def nested_maxes(self, rects, reps: int, seed: int) -> np.ndarray:
         """M over each origin-anchored rectangle of ``rects``, shape (len(rects), reps).
 
@@ -258,31 +233,36 @@ class FieldModel:
 
 
 class IIDField(FieldModel):
-    """Independent draws from ``marginal`` at every lattice site."""
+    """Independent draws from ``marginal`` at every lattice site.
+
+    A draw on ``dims`` fills ``dilated(dims)`` with i.i.d. ``innovations``
+    (here the marginal itself), so the block maximum is the max of
+    m = prod(dilated(dims)) of them: P(M_dims <= x) = F(x)^m exactly.
+    """
 
     name = "iid"
 
     def __init__(self, marginal):
-        self.marginal = marginal
+        self.marginal = self.innovations = marginal
 
     def _batch(self, dims, rng, count):
-        return self._fill(dims, rng, count, self.marginal.rvs)
+        return self._fill(self.dilated(dims), rng, count, self.innovations.rvs)
 
     def exact_block_max_cdf(self, dims, x):
-        n_star = int(np.prod(dims))
-        return np.asarray(self.marginal.cdf(x), dtype=np.float64) ** n_star
+        m = math.prod(self.dilated(dims))
+        return np.asarray(self.innovations.cdf(x), dtype=np.float64) ** m
 
     def exact_block_level(self, dims, gamma):
-        n_star = int(np.prod(dims))
-        return float(self.marginal.ppf(gamma ** (1.0 / n_star)))
+        m = math.prod(self.dilated(dims))
+        return float(self.innovations.ppf(gamma ** (1.0 / m)))
 
 
-class MovingMaxField(FieldModel):
+class MovingMaxField(IIDField):
     """X_k = max of i.i.d. innovations over the window anchored at k.
 
     The block maximum over [1, n] is the max of the innovations on the
-    dilated rectangle of shape n + window - 1, so
-    P(M_n <= x) = F(x)^prod(n_i + w_i - 1) exactly.
+    dilated rectangle of shape n + window - 1, so the block-max law and
+    level are the i.i.d. field's on that rectangle.
     """
 
     name = "moving_max"
@@ -300,24 +280,15 @@ class MovingMaxField(FieldModel):
         return tuple(n + w - 1 for n, w in zip(dims, self.window))
 
     def _batch(self, dims, rng, count):
-        z = self._fill(self.dilated(dims), rng, count, self.innovations.rvs)
-        return kernels.window_max(z, (1,) + self.window)
+        return kernels.window_max(super()._batch(dims, rng, count), (1,) + self.window)
 
     def marginal_cdf(self, x):
-        w_star = int(np.prod(self.window))
-        return np.asarray(self.innovations.cdf(x), dtype=np.float64) ** w_star
+        # one site is the block of dims (1, ..., 1): F(x)^prod(window)
+        return self.exact_block_max_cdf((1,) * len(self.window), x)
 
     def marginal_ppf(self, q):
-        w_star = int(np.prod(self.window))
+        w_star = math.prod(self.window)
         return self.innovations.ppf(np.asarray(q, dtype=np.float64) ** (1.0 / w_star))
-
-    def exact_block_max_cdf(self, dims, x):
-        m = int(np.prod(self.dilated(dims)))
-        return np.asarray(self.innovations.cdf(x), dtype=np.float64) ** m
-
-    def exact_block_level(self, dims, gamma):
-        m = int(np.prod(self.dilated(dims)))
-        return float(self.innovations.ppf(gamma ** (1.0 / m)))
 
 
 def toeplitz_cholesky(poly: CharacteristicPolygon, n: int, axis: int = 0) -> np.ndarray:

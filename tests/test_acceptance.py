@@ -1,9 +1,9 @@
 """Acceptance suite: one test (and one printed pass/fail line) per criterion.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
-Criterion 4c asserts a separation target that the computed quadrature
-values show to be unattainable; it is kept as stated and fails, with the
-numbers printed (see its comment for the analysis).
+Criterion 4c asserts a separation target that the classical norming
+constants miss; it is kept as stated and fails, with the numbers printed
+(see its comment for the measured cause).
 """
 
 import json
@@ -131,10 +131,11 @@ def test_criterion_4_final_gap(directional_values):
 
 def test_criterion_4_non_gumbel_separation(directional_values):
     # Stated target: |H(0;kappa) - H0(0)| must exceed 5x the final gap.
-    # Computed at build time: |H - H0| = 0.009440 while 5 * final gap =
-    # 0.091506. The separation is O(kappa) <= ~0.03 for every feasible
-    # gamma pair, while the convergence residual at N = 1e8 is ~0.018,
-    # so no valid parameterization can meet the target; kept as stated.
+    # Measured: |H - H0| = 0.009440 while 5 * final gap = 0.091506. The
+    # gap is the error of the classical b_N of normalizers: at N = 1e8 it
+    # is 0.018301, and with the quantile b_N = -ndtri(1/N) it is 0.000867,
+    # where 5 x 0.000867 < 0.009440 would pass. Kept as stated until the
+    # norming constants change.
     h, h0, gaps = directional_values
     sep = abs(h - h0)
     ok = sep > 5.0 * gaps[-1]

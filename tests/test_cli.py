@@ -1,9 +1,11 @@
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -86,9 +88,9 @@ class TestDirectional:
         s = read_summary(tmp_path / "o")
         assert s["verdicts"]["gap_monotone_decreasing"] is True
         assert s["verdicts"]["final_gap_within_tol"] is True
-        # the 5x separation target cannot hold for any feasible gamma
-        # pair at desk-scale N (|H - H0| = O(gamma1*gamma2) stays below
-        # the convergence residual); the command reports it honestly
+        # the 5x separation target fails with the classical norming
+        # constants: their final gap 0.018301 is five times what the
+        # quantile b_N = -ndtri(1/N) leaves; the command reports it honestly
         assert s["verdicts"]["non_gumbel_separation"] is False
         assert code == 2
 
@@ -166,6 +168,40 @@ class TestOthers:
         assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         cfg2 = write_cfg(tmp_path, {"model": {"kind": "iid", "marginal": "normal"}, "dims": [3, 3]}, "c2.json")
         assert run(["simulate", "--config", cfg2, "--out", str(tmp_path / "o2")]) == 0
+
+    def test_simulate_field_csv_is_the_draw(self, tmp_path):
+        # field.csv holds replication 0 of the seed's stream, row-major, to the last digit
+        from phantomfields.cli import _model_from_config
+
+        runs = [
+            ({"kind": "gaussian_separable"}, [3, 4]),
+            ({"kind": "iid"}, [3, 4, 5]),
+            ({"kind": "moving_max", "window": [2, 3], "innovations": {"kind": "two_atom", "p_lo": 0.3}}, [5, 4]),
+        ]
+        for i, (model, dims) in enumerate(runs):
+            out = tmp_path / f"o{i}"
+            cfg = write_cfg(tmp_path, {"model": model, "dims": dims, "seed": 77})
+            assert run(["simulate", "--config", cfg, "--out", str(out)]) == 0
+            lines = (out / "field.csv").read_text().splitlines()
+            assert lines[0] == f"# dims={','.join(map(str, dims))} seed=77"
+            parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+            resolved = read_summary(out)["config"]["model"]
+            values = _model_from_config(resolved).sample_values(dims, np.random.default_rng(77))
+            assert np.array_equal(parsed, values.reshape(dims[0], -1))
+
+    def test_beta_mc_level(self, tmp_path):
+        # a model without an exact law and level null: the MC level sequence at n, on the run's seed
+        from phantomfields import GaussianSeparableField, curve_diagonal, estimate_level_sequence, example_covariance
+
+        cfg = write_cfg(tmp_path, {"model": {"kind": "gaussian_separable"}, "level": None})
+        assert run(["beta", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        rep = json.loads((tmp_path / "o" / "beta.json").read_text())
+        assert rep["mode"] == "mc"
+        c = read_summary(tmp_path / "o")["config"]
+        model = GaussianSeparableField(example_covariance())
+        levels = estimate_level_sequence(model, curve_diagonal(2), c["gamma"], c["n"], c["reps"], c["seed"])
+        assert levels.n_values[-1] == c["n"]
+        assert rep["level"] == levels.levels[-1]
 
 
 class TestInputErrors:
@@ -370,6 +406,32 @@ class TestInputErrors:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
+        "command, payload, message",
+        [
+            ("beta", {"level": math.nan}, "config field 'level' must be a finite number, got NaN"),
+            ("directional-test", {"x": math.inf}, "config field 'x' must be a finite number, got Infinity"),
+            ("directional-test", {"x": -math.inf}, "config field 'x' must be a finite number, got -Infinity"),
+            (
+                "extremal-index",
+                {"expected_theta": math.nan},
+                "config field 'expected_theta' must be a finite number, got NaN",
+            ),
+            ("extremal-index", {"gamma_in": 10**400}, f"config field 'gamma_in' must be a finite number, got {10 ** 400}"),
+            (
+                "simulate",
+                {"model": {"kind": "gaussian_separable", "gamma1": math.nan}},
+                "model field 'gamma1' must be a finite number, got NaN",
+            ),
+        ],
+    )
+    def test_non_finite_number(self, tmp_path, capsys, command, payload, message):
+        # beta at level NaN reported beta 0.0 and directional-test gave verdicts at x = Infinity
+        cfg = write_cfg(tmp_path, payload)
+        assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
         "command, key",
         [("extremal-index", "tol"), ("directional-test", "tol_final"), ("directional-test", "separation_factor")],
     )
@@ -538,6 +600,7 @@ MODEL_FIELDS, INNOVATION_FIELDS, CURVE_FIELDS = (
 SCALARS = st.one_of(
     st.integers(-2, 4),
     st.floats(-2, 4, allow_nan=False),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
     st.text(max_size=3),
     st.none(),
     st.booleans(),

@@ -10,7 +10,6 @@ from scipy.stats import ks_2samp, norm, uniform
 from phantomfields import (
     CharacteristicPolygon,
     FactorizationError,
-    FieldSample,
     GammaPair,
     GaussianSeparableField,
     IIDField,
@@ -26,7 +25,7 @@ from phantomfields import (
 )
 from phantomfields import sampling
 from phantomfields.covariance import SeparableCovariance
-from phantomfields.sampling import _NormalMarginal, _UniformMarginal, dump_csv, toeplitz_cholesky
+from phantomfields.sampling import _NormalMarginal, _UniformMarginal, toeplitz_cholesky
 
 
 def toeplitz_target(poly, n):
@@ -82,11 +81,10 @@ class TestGaussianSampler:
                 assert abs(emp[a, b] - r) < 5.0 * se
 
     def test_reproducible(self, gauss):
-        a = gauss.sample((6, 7), seed=99)
-        b = gauss.sample((6, 7), seed=99)
-        assert np.array_equal(a.values, b.values)
-        c = gauss.sample((6, 7), seed=100)
-        assert not np.array_equal(a.values, c.values)
+        draw = lambda seed: gauss.sample_values((6, 7), np.random.default_rng(seed))
+        a = draw(99)
+        assert np.array_equal(a, draw(99))
+        assert not np.array_equal(a, draw(100))
 
     @pytest.mark.parametrize("kind", ["gaussian_separable", "moving_max", "iid"])
     def test_chunk_invariance_long_axis(self, gauss, kind, monkeypatch):
@@ -141,7 +139,7 @@ class TestGaussianSampler:
         )
         bad = SeparableCovariance(axes=(flat, flat))
         with pytest.raises(FactorizationError) as err:
-            GaussianSeparableField(bad).sample((3, 3), seed=0)
+            GaussianSeparableField(bad).sample_values((3, 3), np.random.default_rng(0))
         assert err.value.axis == 0
         assert err.value.minor == 2
 
@@ -318,12 +316,18 @@ class TestBuiltinMarginals:
 
 class TestMovingMax:
     def test_window_one_is_iid(self):
+        # the same draws, block-max law and level as the i.i.d. field, in d = 1, 2, 3
         innov = uniform()
-        mm = MovingMaxField((1, 1), innov)
         iid = IIDField(innov)
-        s1 = mm.sample((5, 5), seed=7)
-        s2 = iid.sample((5, 5), seed=7)
-        assert np.array_equal(s1.values, s2.values)
+        x = np.array([0.2, 0.9, 0.999])
+        for dims in ((5,), (5, 3), (5, 3, 4)):
+            mm = MovingMaxField((1,) * len(dims), innov)
+            draws = lambda model: model.sample_values(dims, np.random.default_rng(7))
+            assert np.array_equal(draws(mm), draws(iid))
+            assert np.array_equal(mm.exact_block_max_cdf(dims, x), iid.exact_block_max_cdf(dims, x))
+            assert np.array_equal(mm.exact_block_max_cdf(dims, x), x ** math.prod(dims))
+            for gamma in (0.1, math.exp(-1.0), 0.9):
+                assert mm.exact_block_level(dims, gamma) == iid.exact_block_level(dims, gamma)
 
     def test_marginal_is_window_power(self):
         mm = MovingMaxField((2, 2), uniform())
@@ -335,6 +339,13 @@ class TestMovingMax:
         n = 6
         x = 0.97
         assert mm.exact_block_max_cdf((n, n), x) == pytest.approx(x ** ((n + 1) ** 2), abs=0.0)
+        # the level is read off the same dilated rectangle
+        mm = MovingMaxField((2, 3), uniform())
+        for dims in ((1, 1), (6, 4), (30, 2)):
+            for gamma in (0.05, math.exp(-1.0), 0.9):
+                v = mm.exact_block_level(dims, gamma)
+                assert v == pytest.approx(gamma ** (1.0 / ((dims[0] + 1) * (dims[1] + 2))), rel=1e-15)
+                assert mm.exact_block_max_cdf(dims, v) == pytest.approx(gamma, rel=1e-12)
 
     def test_empirical_matches_exact_law(self):
         mm = MovingMaxField((2, 2), uniform())
@@ -418,18 +429,3 @@ def test_empty_rectangle_message_has_plain_ints(gauss):
     # a curve table row reached the check as numpy ints: "got (np.int64(0), np.int64(1))"
     with pytest.raises(ValueError, match=r"^dims must be >= 1 componentwise, got \(0, 1\)$"):
         gauss.sample_values(np.array([0, 1]), np.random.default_rng(0))
-
-
-def test_field_sample_shape_checked():
-    with pytest.raises(ValueError):
-        FieldSample(dims=(2, 3), values=np.zeros((3, 2)))
-
-
-def test_csv_dump_roundtrip(tmp_path, gauss):
-    s = gauss.sample((3, 4), seed=77)
-    path = tmp_path / "field.csv"
-    dump_csv(s, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# dims=3,4 seed=77"
-    parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-    assert np.array_equal(parsed, s.values)
