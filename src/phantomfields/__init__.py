@@ -17,7 +17,6 @@ from .covariance import (
     validate_polya,
 )
 from .diagnostics import (
-    BlockSplit,
     berman_bound,
     beta_k_estimate,
     bound_vs_empirical,

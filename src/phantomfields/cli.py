@@ -366,19 +366,18 @@ def cmd_beta(cfg: dict, out: str):
     curve = _curve_from_config(cfg["curve"])
     n, k, T = cfg["n"], cfg["k"], cfg["T"]
     bound = diagnostics.constraint_box(curve, T, n)
-    if cfg["level"] is not None:
-        levels = float(cfg["level"])
-    elif model.exact_block_max_cdf((1,) * curve.d, 0.5) is not None:
-        levels = phantom.exact_level_sequence(model, curve, cfg["gamma"], n)
-    else:
-        levels = phantom.estimate_level_sequence(
-            model, curve, cfg["gamma"], n, cfg["reps"], cfg["seed"]
-        )
+    level = cfg["level"]
+    if level is None:
+        # the gamma-level of M_psi(n): exact, or off estimate_level_sequence's draws at horizon n
+        level = model.exact_block_level(curve(n), cfg["gamma"])
+        if level is None:
+            maxes = model.block_maxes(curve(n), cfg["reps"], _sub_seed(cfg["seed"], n))
+            level = phantom.EmpiricalLaw(np.sort(maxes), cfg["reps"]).quantile(cfg["gamma"])
 
     def estimate(k):
         splits = diagnostics.exhaustive_splits(bound, k) if cfg["exhaustive"] else None
         return diagnostics.beta_k_estimate(
-            model, curve, levels, T, n, k=k, splits=splits, reps=cfg["reps"], seed=cfg["seed"], mode=cfg["mode"]
+            model, curve, level, T, n, k=k, splits=splits, reps=cfg["reps"], seed=cfg["seed"], mode=cfg["mode"]
         )
 
     rep = estimate(k)

@@ -132,18 +132,21 @@ def _build_polygon(gamma, knot1_value, tail_start, tail_fn, name):
     return poly
 
 
+# eta1(1) / gamma1 and eta2(1) / gamma2: the tail chords on [27, 28] and [2, 3], extended to 1
+_ETA1_KNOT1 = 27.0 * _loglog_ratio(27.0) - 26.0 * _loglog_ratio(28.0)
+_ETA2_KNOT1 = 2.0 / np.log(2.0) - 1.0 / np.log(3.0)
+
+
 def build_eta1(gamma1: float) -> CharacteristicPolygon:
     """First axis polygon: value gamma1*ln(ln k)/ln k at every integer k >= 28."""
-    knot1 = gamma1 * (27.0 * _loglog_ratio(27.0) - 26.0 * _loglog_ratio(28.0))
     tail = lambda k: gamma1 * _loglog_ratio(k)
-    return _build_polygon(gamma1, knot1, 28, tail, "eta1")
+    return _build_polygon(gamma1, gamma1 * _ETA1_KNOT1, 28, tail, "eta1")
 
 
 def build_eta2(gamma2: float) -> CharacteristicPolygon:
     """Second axis polygon: value gamma2/ln k at every integer k >= 3."""
-    knot1 = gamma2 * (2.0 / np.log(2.0) - 1.0 / np.log(3.0))
     tail = lambda k: gamma2 / np.log(np.asarray(k, dtype=np.float64))
-    return _build_polygon(gamma2, knot1, 3, tail, "eta2")
+    return _build_polygon(gamma2, gamma2 * _ETA2_KNOT1, 3, tail, "eta2")
 
 
 @dataclass(frozen=True)
@@ -158,10 +161,8 @@ def validate_gammas(g: GammaPair) -> bool:
         return False
     if not g.gamma1 > 0.25:
         return False
-    a = g.gamma1 * (27.0 * _loglog_ratio(27.0) - 26.0 * _loglog_ratio(28.0))
-    b = g.gamma2 * (2.0 / np.log(2.0) - 1.0 / np.log(3.0))
     c = (1.0 - 2.0 * g.gamma1) / (1.0 + 2.0 * g.gamma1)
-    return a < b < c
+    return g.gamma1 * _ETA1_KNOT1 < g.gamma2 * _ETA2_KNOT1 < c
 
 
 DEFAULT_GAMMAS = GammaPair(0.26, 0.10)
@@ -201,31 +202,24 @@ class DeltaReport:
     below_bound: bool | None
 
 
-def delta_sup(c: SeparableCovariance, search_radius: int = 5) -> DeltaReport:
-    """Max of r over the punctured box [-R, R]^d.
+def delta_sup(c: SeparableCovariance) -> DeltaReport:
+    """Sup of r over Z^d \\ {0}: the closed form max_i axes[i](1).
 
-    Each axis polygon is nonincreasing in |t|, so this equals the true
-    supremum over all of Z^d \\ {0} for any R >= 1 (the max sits at a
-    point with a single coordinate equal to +-1). When the covariance
-    carries its gamma pair the report also states whether
+    Each axis polygon is at most 1 and nonincreasing in |t|, so r(k) is at
+    most axes[i](1) for any coordinate k_i != 0, and the unit point e_i
+    attains it. The argmax is that e_i, the last axis among ties. When the
+    covariance carries its gamma pair the report also states whether
     delta < (1 - 2*gamma1)/(1 + 2*gamma1).
     """
-    if search_radius < 1:
-        raise ValueError("search_radius must be >= 1")
-    axis_vals = [ax(np.arange(search_radius + 1, dtype=np.float64)) for ax in c.axes]
-    grid = axis_vals[0]
-    for vals in axis_vals[1:]:
-        grid = np.multiply.outer(grid, vals)
-    flat = grid.ravel().copy()
-    flat[0] = -np.inf  # puncture the origin
-    j = int(np.argmax(flat))
-    argmax = np.unravel_index(j, grid.shape)
-    value = float(grid[argmax])
+    at_one = [float(ax(1.0)) for ax in c.axes]
+    i = len(at_one) - 1 - int(np.argmax(at_one[::-1]))
+    value = at_one[i]
+    argmax = tuple(int(j == i) for j in range(c.d))
     bound = below = None
     if c.gammas is not None:
         bound = (1.0 - 2.0 * c.gammas.gamma1) / (1.0 + 2.0 * c.gammas.gamma1)
         below = value < bound
-    return DeltaReport(value=value, argmax=tuple(int(a) for a in argmax), bound=bound, below_bound=below)
+    return DeltaReport(value=value, argmax=argmax, bound=bound, below_bound=below)
 
 
 def example_covariance(gammas: GammaPair = DEFAULT_GAMMAS) -> SeparableCovariance:

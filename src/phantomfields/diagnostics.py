@@ -7,11 +7,14 @@ functionals maximize over ALL admissible splits, which is infeasible in
 general: MC mode maximizes over a configurable grid and every report
 labels the value a lower bound. Exact mode (models with closed-form
 block-max laws) can take the full finite split set.
+
+S splits into k parts of a box in N^d are one integer array (S, k, d),
+entry [s, i, j] coordinate j of part i of split s. The functional takes
+one float level and reads each sub-block of all S splits at once.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -24,100 +27,71 @@ from .lattice import MonotoneCurve
 from .sampling import MovingMaxField, TwoAtomInnovations, _NormalMarginal
 
 
-@dataclass(frozen=True)
-class BlockSplit:
-    """k parts in N_0^d whose componentwise sum respects the constraint box."""
-
-    parts: tuple[tuple[int, ...], ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.parts)
-
-    @property
-    def total(self) -> tuple[int, ...]:
-        return tuple(int(s) for s in np.sum(self.parts, axis=0))
-
-    def within(self, bound) -> bool:
-        return all(t <= b for t, b in zip(self.total, bound))
+def _fitting_tuples(pts: np.ndarray, k: int, bound) -> np.ndarray:
+    """The k-tuples of rows of ``pts`` (P, d) that sum to <= ``bound``, lexicographic, shape (S, k, d)."""
+    fits = np.ones((len(pts),) * k, dtype=bool)
+    for j, b in enumerate(bound):
+        # coordinate j of part i varies along axis i of the k-dimensional grid
+        fits &= sum(pts[:, j].reshape((-1,) + (1,) * (k - 1 - i)) for i in range(k)) <= b
+    return pts[np.stack(np.nonzero(fits), axis=1)]
 
 
-def quarter_grid_splits(bound, k: int = 2) -> list[BlockSplit]:
-    """Default MC split grid: part coordinates at the quarter points of the bound."""
+def quarter_grid_splits(bound, k: int = 2) -> np.ndarray:
+    """Default MC split grid: part coordinates at the quarter points of the bound, shape (S, k, d)."""
     bound = tuple(int(b) for b in bound)
     marks = [sorted({0, b // 4, b // 2, (3 * b) // 4, b}) for b in bound]
-    axis_vals = [list(itertools.product(*marks)) for _ in range(k)]
-    out = []
-    for combo in itertools.product(*axis_vals):
-        s = BlockSplit(parts=tuple(combo))
-        if s.within(bound):
-            out.append(s)
-    return out
+    return _fitting_tuples(np.array(list(itertools.product(*marks))), k, bound)
 
 
-def exhaustive_splits(bound, k: int = 2) -> list[BlockSplit]:
-    """Every k-tuple of N_0^d parts with componentwise sum <= bound."""
-    bound = tuple(int(b) for b in bound)
-    d = len(bound)
-    per_axis = []
-    for b in bound:
-        per_axis.append(
-            [c for c in itertools.product(range(b + 1), repeat=k) if sum(c) <= b]
-        )
-    out = []
-    for axis_choice in itertools.product(*per_axis):
-        # axis_choice[j][i] = coordinate j of part i
-        parts = tuple(tuple(axis_choice[j][i] for j in range(d)) for i in range(k))
-        out.append(BlockSplit(parts=parts))
-    return out
+def exhaustive_splits(bound, k: int = 2) -> np.ndarray:
+    """Every k-tuple of N_0^d parts with componentwise sum <= bound, shape (S, k, d)."""
+    per_axis = [_fitting_tuples(np.arange(b + 1)[:, None], k, (b,))[:, :, 0] for b in map(int, bound)]
+    # one choice per axis, axis 0's varying slowest
+    pick = np.indices([len(c) for c in per_axis]).reshape(len(per_axis), -1)
+    return np.stack([c[i] for c, i in zip(per_axis, pick)], axis=2)
 
 
-def _split_blocks(split: BlockSplit, d: int):
-    """Sub-block dims (p_1(i_1), ..., p_d(i_d)) over the k^d multi-indices."""
-    k = split.k
-    for idx in itertools.product(range(k), repeat=d):
-        yield tuple(split.parts[idx[j]][j] for j in range(d))
-
-
-def _reader(table):
-    """dims -> table[dims - 1] = P(M_dims <= level); 1 on empty blocks, whose max is -inf."""
-    return lambda dims: 1.0 if 0 in dims else float(table[tuple(n - 1 for n in dims)])
+def _padded(table) -> np.ndarray:
+    """``table`` behind a leading layer of ones: [dims] reads table[dims - 1], and 1 on an empty block."""
+    return np.pad(table, [(1, 0)] * np.ndim(table), constant_values=1.0)
 
 
 def _block_probabilities(model, bound, level: float, mode: str, reps: int = 0, seed: int = 0):
-    """dims -> P(M_dims <= level) for every sub-block of the box ``bound``, exact or MC.
+    """dims -> P(M_dims <= level) at d index arrays ``dims`` into the box ``bound``, exact or MC.
 
-    Exact mode evaluates the model's law on first use of each block. MC
-    mode draws the full box once per replication and reads every anchored
+    Exact mode evaluates the model's law at those arrays alone. MC mode
+    draws the full box once per replication and reads every anchored
     sub-block off the running maxima along each axis, so all estimates
     come from the same seeded replications.
     """
     if mode == "exact":
-        exact = functools.cache(lambda dims: float(model.exact_block_max_cdf(dims, float(level))))
-        return lambda dims: 1.0 if 0 in dims else exact(dims)
+        # float dims: the law's exponent prod(dims) may pass the int64 range
+        law = lambda dims: model.exact_block_max_cdf(np.asarray(dims, dtype=np.float64), level)
+        return lambda dims: np.where(np.min(dims, axis=0) == 0, 1.0, law(dims))
     counts = np.zeros(tuple(int(b) for b in bound), dtype=np.int64)
     for m in model.batches(counts.shape, reps, seed):
         for ax in range(1, m.ndim):
             m = np.maximum.accumulate(m, axis=ax)
         counts += (m <= level).sum(axis=0)
         del m  # drop this chunk before the next is drawn: one chunk alive at a time
-    return _reader(counts / reps)
+    return _padded(counts / reps).__getitem__
 
 
-def _beta_over(prob, splits, d: int):
-    """(max, argmax) over ``splits`` of |P(total) - product over the k^d sub-blocks|."""
-    best, arg = -1.0, None
-    for s in splits:
-        val = abs(prob(s.total) - math.prod(prob(dims) for dims in _split_blocks(s, d)))
-        if val > best:
-            best, arg = val, s
-    return best, arg
+def _beta_over(prob, splits: np.ndarray):
+    """(max, first argmax) over ``splits`` of |P(total) - product over the k^d sub-blocks|."""
+    _, k, d = splits.shape
+    prod = np.ones(len(splits))
+    for idx in itertools.product(range(k), repeat=d):
+        prod = prod * prob(tuple(splits[:, i, j] for j, i in enumerate(idx)))
+    vals = np.abs(prob(tuple(splits.sum(axis=1).T)) - prod)
+    s = int(np.argmax(vals))
+    return float(vals[s]), splits[s].tolist()
 
 
 @dataclass(frozen=True)
 class BetaReport:
     value: float
-    argmax: BlockSplit | None
+    argmax: list[list[int]]
     k: int
     mode: str
     n: int
@@ -126,7 +100,6 @@ class BetaReport:
     level: float
     grid_size: int
     se: float | None
-    lower_bound_only: bool = True
 
     def to_json(self) -> dict:
         return {
@@ -139,8 +112,8 @@ class BetaReport:
             "T": self.T,
             "bound": list(self.bound),
             "level": self.level,
-            "argmax": list(self.argmax.parts) if self.argmax else None,
-            "lower_bound_only": self.lower_bound_only,
+            "argmax": self.argmax,
+            "lower_bound_only": True,
         }
 
 
@@ -159,26 +132,26 @@ def constraint_box(psi: MonotoneCurve, T: float, n: int) -> tuple[int, ...]:
 def beta_k_estimate(
     model,
     psi: MonotoneCurve,
-    levels,
+    level: float,
     T: float,
     n: int,
     k: int = 2,
-    splits: list[BlockSplit] | None = None,
+    splits=None,
     reps: int = 2000,
     seed: int = 0,
     mode: str = "auto",
 ) -> BetaReport:
-    """Max over splits of |P(M_total <= v) - prod over k^d sub-blocks|.
+    """Max over splits of |P(M_total <= level) - prod over k^d sub-blocks|.
 
-    ``levels`` is a LevelSequence (the level at n is used) or a float.
-    The constraint box is floor(T * psi(n)). mode "exact" requires a
-    model with a closed-form block-max law; "auto" picks exact when
-    available. The reported value is a lower bound for the true sup
-    unless the splits cover the full admissible set.
+    The constraint box is floor(T * psi(n)); ``splits`` is an (S, k, d)
+    array of parts in it, the quarter grid by default. mode "exact"
+    requires a model with a closed-form block-max law; "auto" picks
+    exact when available. The reported value is a lower bound for the
+    true sup unless the splits cover the full admissible set.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    level = levels if isinstance(levels, (int, float)) else _level_at(levels, n)
+    level = float(level)
     bound = constraint_box(psi, T, n)
     if mode not in ("auto", "exact", "mc"):
         raise ValueError(f"mode must be auto, exact or mc, got {mode!r}")
@@ -189,15 +162,18 @@ def beta_k_estimate(
         mode = "exact" if has_exact else "mc"
     if mode == "mc" and reps < 1:
         raise ValueError(f"mc mode needs reps >= 1, got {reps}")
-    if splits is None:
-        splits = quarter_grid_splits(bound, k)
-    for s in splits:
-        if s.k != k:
-            raise ValueError(f"split {s} has {s.k} parts, expected {k}")
-        if not s.within(bound):
-            raise ValueError(f"split {s.parts} exceeds the constraint box {bound}")
+    splits = quarter_grid_splits(bound, k) if splits is None else np.asarray(splits)
+    if splits.ndim != 3 or splits.shape[1:] != (k, len(bound)) or len(splits) == 0:
+        raise ValueError(f"splits must be a nonempty (S, {k}, {len(bound)}) array, got shape {splits.shape}")
+    # a negative part would read a table from its far end
+    negative = (splits < 0).any(axis=(1, 2))
+    if negative.any():
+        raise ValueError(f"split {splits[np.argmax(negative)].tolist()} has a negative part")
+    over = (splits.sum(axis=1) > bound).any(axis=1)
+    if over.any():
+        raise ValueError(f"split {splits[np.argmax(over)].tolist()} exceeds the constraint box {bound}")
     prob = _block_probabilities(model, bound, level, mode, reps=reps, seed=seed)
-    best, arg = _beta_over(prob, splits, len(bound))
+    best, arg = _beta_over(prob, splits)
     # worst-case standard error of a single estimated probability
     se = None if mode == "exact" else math.sqrt(0.25 / reps)
     return BetaReport(
@@ -211,19 +187,11 @@ def beta_k_estimate(
         level=level,
         grid_size=len(splits),
         se=se,
-        lower_bound_only=True,
     )
 
 
-def _level_at(levels, n: int) -> float:
-    i = int(np.searchsorted(levels.n_values, n))
-    if i >= len(levels.n_values) or levels.n_values[i] != n:
-        raise ValueError(f"level sequence has no entry at n={n}")
-    return float(levels.levels[i])
-
-
-def _enumerated(model, bound, level: float):
-    """dims -> P(M_dims <= level) over the sub-blocks of ``bound``, by enumeration.
+def _enumerated(model, bound, level: float) -> np.ndarray:
+    """P(M_dims <= level) at [dims] for the sub-blocks of ``bound``, by enumeration, padded.
 
     Only for 2-d moving-max models with two-atom innovations and at most
     25 innovation sites; independent of the dilation-counting closed form.
@@ -234,17 +202,17 @@ def _enumerated(model, bound, level: float):
         raise ValueError("enumeration oracle is 2-d only")
     innov = model.innovations
     bound = tuple(int(b) for b in bound)
-    return _reader(kernels.enum_block_cdf_table(bound, model.window, innov.lo, innov.hi, innov.p_lo, level))
+    return _padded(kernels.enum_block_cdf_table(bound, model.window, innov.lo, innov.hi, innov.p_lo, level))
 
 
 def enumeration_block_cdf(model, dims, level: float) -> float:
     """P(M_dims <= level) by exhaustive enumeration of innovation configs."""
-    return _enumerated(model, dims, level)(tuple(int(x) for x in dims))
+    return float(_enumerated(model, dims, level)[tuple(int(x) for x in dims)])
 
 
 def enumeration_beta(model, bound, level: float, k: int = 2) -> float:
     """beta over the FULL admissible split set with enumerated probabilities."""
-    return _beta_over(_enumerated(model, bound, level), exhaustive_splits(bound, k), 2)[0]
+    return _beta_over(_enumerated(model, bound, level).__getitem__, exhaustive_splits(bound, k))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +254,7 @@ def berman_bound(
         raise ValueError("n must be >= 1")
     if c.d != 2:
         raise ValueError("the comparison bound is implemented for d = 2")
-    delta = delta_sup(c, 1).value
+    delta = delta_sup(c).value
     L = (1.0 / (2.0 * math.pi)) / math.sqrt(1.0 - delta * delta)  # the normal-comparison constant
     if alpha is None:
         hi = (1.0 - 3.0 * delta) / (1.0 + delta)

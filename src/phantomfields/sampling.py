@@ -192,9 +192,6 @@ class FieldModel:
         for lo in range(0, reps, chunk):
             yield self._batch(dims, rng, min(chunk, reps - lo))
 
-    def marginal_cdf(self, x):
-        return self.marginal.cdf(x)
-
     def marginal_ppf(self, q):
         return self.marginal.ppf(q)
 
@@ -281,10 +278,6 @@ class MovingMaxField(IIDField):
 
     def _batch(self, dims, rng, count):
         return kernels.window_max(super()._batch(dims, rng, count), (1,) + self.window)
-
-    def marginal_cdf(self, x):
-        # one site is the block of dims (1, ..., 1): F(x)^prod(window)
-        return self.exact_block_max_cdf((1,) * len(self.window), x)
 
     def marginal_ppf(self, q):
         w_star = math.prod(self.window)

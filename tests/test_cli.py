@@ -110,6 +110,13 @@ class TestOthers:
         s = read_summary(tmp_path / "o")
         assert s["verdicts"]["theta_within_tol"] is True
 
+    def test_extremal_index_iid_is_one(self, tmp_path):
+        # at n = 7, F(F^-1(gamma_in^(1/49)))^49 rounds below gamma_in: theta is 1 plus rounding
+        cfg = write_cfg(tmp_path, {"model": {"kind": "iid", "marginal": "normal"}, "expected_theta": None, "n": 7})
+        assert run(["extremal-index", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        row = (tmp_path / "o" / "results.csv").read_text().splitlines()[1].split(",")
+        assert abs(float(row[1]) - 1.0) <= 1e-14
+
     def test_beta_default(self, tmp_path):
         code = run(["beta", "--out", str(tmp_path / "o")])
         assert code == 0

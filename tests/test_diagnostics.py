@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 from scipy.stats import uniform
 
 from phantomfields import (
-    BlockSplit,
     CharacteristicPolygon,
     GaussianSeparableField,
     IIDField,
@@ -22,7 +22,7 @@ from phantomfields import (
     levels_u,
     quarter_grid_splits,
 )
-from phantomfields import sampling
+from phantomfields import kernels, sampling
 from phantomfields.covariance import SeparableCovariance
 from phantomfields.diagnostics import _block_probabilities
 
@@ -34,12 +34,13 @@ def two_atom_model():
 
 class TestSplitGrids:
     def test_quarter_grid_respects_bound(self):
-        for s in quarter_grid_splits((8, 4), k=2):
-            assert s.within((8, 4))
+        splits = quarter_grid_splits((8, 4), k=2)
+        assert splits.shape[1:] == (2, 2)
+        assert np.all(splits.sum(axis=1) <= (8, 4)) and np.all(splits >= 0)
 
     def test_quarter_grid_contains_extremes(self):
         splits = quarter_grid_splits((8, 8), k=2)
-        parts = {s.parts for s in splits}
+        parts = {tuple(map(tuple, s)) for s in splits.tolist()}
         assert (((0, 0), (8, 8))) in parts
         assert (((8, 8), (0, 0))) in parts
 
@@ -48,10 +49,23 @@ class TestSplitGrids:
         assert len(exhaustive_splits((3, 3), k=2)) == 100
         assert len(exhaustive_splits((3, 3), k=3)) == 400
 
-    def test_split_validation(self):
-        s = BlockSplit(parts=((2, 2), (2, 2)))
-        assert s.total == (4, 4)
-        assert s.within((4, 4)) and not s.within((3, 4))
+    def test_split_validation(self, two_atom_model):
+        # split s, part i, axis j at [s, i, j]: the third split's part 1 is (0, 2)
+        splits = exhaustive_splits((2, 3), k=2)
+        assert splits.shape == (60, 2, 2) and splits[2, 1].tolist() == [0, 2]
+        assert len({tuple(s.ravel()) for s in splits}) == 60
+        ok = np.array([[[2, 2], [1, 1]]])
+        assert beta_k_estimate(two_atom_model, curve_diagonal(2), 0.5, T=1.0, n=3, splits=ok).grid_size == 1
+        for bad in (ok[:, :1], ok[0], ok[:0], np.zeros((1, 2, 3), dtype=int), np.zeros((1, 3, 2), dtype=int)):
+            with pytest.raises(ValueError):
+                beta_k_estimate(two_atom_model, curve_diagonal(2), 0.5, T=1.0, n=3, splits=bad)
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_negative_part_rejected(self, two_atom_model, mode):
+        # -1 would read the far end of the padded table: beta 1.0 in mc mode
+        bad = np.array([[[-1, 0], [1, 3]]])
+        with pytest.raises(ValueError, match="negative part"):
+            beta_k_estimate(two_atom_model, curve_diagonal(2), 0.5, T=1.0, n=3, splits=bad, reps=50, mode=mode)
 
 
 class TestBetaExact:
@@ -74,11 +88,11 @@ class TestBetaExact:
     def test_zero_part_reduces_to_fewer_blocks(self, two_atom_model):
         # with p = 0 the product collapses to the q block alone
         probs = _block_probabilities(two_atom_model, (3, 3), 0.5, "exact")
-        split = BlockSplit(parts=((0, 0), (3, 3)))
+        parts = ((0, 0), (3, 3))
         prod = 1.0
         for i1 in range(2):
             for i2 in range(2):
-                prod *= probs((split.parts[i1][0], split.parts[i2][1]))
+                prod *= probs((parts[i1][0], parts[i2][1]))
         assert prod == probs((3, 3))
 
     def test_k2_exact_equals_enumeration(self, two_atom_model):
@@ -88,13 +102,13 @@ class TestBetaExact:
         assert rep.value == pytest.approx(enumeration_beta(two_atom_model, (3, 3), 0.5, k=2), abs=1e-12)
 
     def test_constraint_violation_rejected(self, two_atom_model):
-        bad = [BlockSplit(parts=((4, 0), (0, 0)))]
-        with pytest.raises(ValueError):
+        bad = [[[4, 0], [0, 0]]]
+        with pytest.raises(ValueError, match="exceeds the constraint box"):
             beta_k_estimate(two_atom_model, curve_diagonal(2), 0.5, T=1.0, n=3, k=2, splits=bad)
 
     def test_reported_as_lower_bound(self, two_atom_model):
         rep = beta_k_estimate(two_atom_model, curve_diagonal(2), 0.5, T=1.0, n=3, k=2, mode="exact")
-        assert rep.lower_bound_only
+        assert rep.to_json()["lower_bound_only"] is True
         assert rep.to_json()["functional"] == "beta_k2"
 
 
@@ -118,6 +132,81 @@ class TestBlockProbabilitiesMC:
             for b in range(1, bound[1] + 1):
                 assert probs((a, b)) == ref[a - 1, b - 1]
         assert probs((0, 2)) == 1.0
+
+
+# The per-split reference: splits as tuples of parts, built and scanned one at a time.
+
+
+def _tuple_quarter_grid(bound, k):
+    marks = [sorted({0, b // 4, b // 2, (3 * b) // 4, b}) for b in bound]
+    combos = itertools.product(list(itertools.product(*marks)), repeat=k)
+    return [c for c in combos if all(sum(p[j] for p in c) <= b for j, b in enumerate(bound))]
+
+
+def _tuple_exhaustive(bound, k):
+    per_axis = [[c for c in itertools.product(range(b + 1), repeat=k) if sum(c) <= b] for b in bound]
+    choices = itertools.product(*per_axis)  # c[j][i] = coordinate j of part i
+    return [tuple(tuple(c[j][i] for j in range(len(bound))) for i in range(k)) for c in choices]
+
+
+def _loop_beta(prob, splits):
+    """(max, first argmax) of |P(total) - product over the k^d sub-blocks|, split by split."""
+    best, arg = -1.0, None
+    for parts in splits:
+        d = len(parts[0])
+        total = tuple(sum(p[j] for p in parts) for j in range(d))
+        blocks = (tuple(parts[i[j]][j] for j in range(d)) for i in itertools.product(range(len(parts)), repeat=d))
+        val = abs(prob(total) - math.prod(prob(dims) for dims in blocks))
+        if val > best:
+            best, arg = val, parts
+    return best, arg
+
+
+def _table_reader(table):
+    return lambda dims: 1.0 if 0 in dims else float(table[tuple(n - 1 for n in dims)])
+
+
+class TestAgainstSplitLoop:
+    @pytest.mark.parametrize("bound", [(3, 3), (2, 3), (4,), (1, 2, 2), (8, 5), (4, 4, 2)])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_split_arrays_keep_the_tuple_order(self, bound, k):
+        as_lists = lambda splits: [[list(p) for p in s] for s in splits]
+        assert exhaustive_splits(bound, k).tolist() == as_lists(_tuple_exhaustive(bound, k))
+        assert quarter_grid_splits(bound, k).tolist() == as_lists(_tuple_quarter_grid(bound, k))
+
+    @pytest.mark.parametrize("level", [0.5, 0.8, 0.99])
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_beta_equals_the_loop(self, mode, k, level):
+        # at 0.99, splits tie up to rounding, so a changed product order moves the argmax
+        model = MovingMaxField((2, 2), uniform())
+        bound, reps, seed = (3, 3), 300, 5
+        if mode == "exact":
+            prob = lambda dims: 1.0 if 0 in dims else float(model.exact_block_max_cdf(dims, level))
+        else:
+            counts = np.zeros(bound, dtype=np.int64)
+            rng = np.random.default_rng(seed)
+            for _ in range(reps):
+                m = model.sample_values(bound, rng)
+                for ax in range(len(bound)):
+                    m = np.maximum.accumulate(m, axis=ax)
+                counts += m <= level
+            prob = _table_reader(counts / reps)
+        for splits in (_tuple_exhaustive(bound, k), _tuple_quarter_grid(bound, k)):
+            rep = beta_k_estimate(
+                model, curve_diagonal(2), level, T=1.0, n=3, k=k, splits=np.array(splits), reps=reps, seed=seed,
+                mode=mode,
+            )
+            value, argmax = _loop_beta(prob, splits)
+            assert rep.value == value and rep.argmax == [list(p) for p in argmax]
+
+    @pytest.mark.parametrize("level", [-0.5, 0.5, 1.5])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_enumeration_beta_equals_the_loop(self, two_atom_model, k, level):
+        innov = two_atom_model.innovations
+        table = kernels.enum_block_cdf_table((3, 3), two_atom_model.window, innov.lo, innov.hi, innov.p_lo, level)
+        expected, _ = _loop_beta(_table_reader(table), _tuple_exhaustive((3, 3), k))
+        assert enumeration_beta(two_atom_model, (3, 3), level, k=k) == expected
 
 
 class TestEnumerationOracle:

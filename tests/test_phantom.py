@@ -32,6 +32,7 @@ from phantomfields import (
     sub_seed,
     uniform_candidate,
 )
+from phantomfields.sampling import _NormalMarginal, _UniformMarginal
 
 E_INV = math.exp(-1.0)
 
@@ -344,6 +345,20 @@ class TestExtremalIndex:
             extremal_index(0.25, 0.5)  # theta = 2
         with pytest.raises(InconsistentIndexError):
             extremal_index(1.5, 0.5)
+        # the pair alone carries no rounding margin: one ulp below gamma_in is flagged
+        with pytest.raises(InconsistentIndexError):
+            extremal_index(math.nextafter(0.5, 0.0), 0.5)
+
+    @pytest.mark.parametrize("marginal", [_NormalMarginal(), _UniformMarginal()])
+    def test_iid_estimate_is_one_to_rounding(self, marginal):
+        # F(F^-1(gamma_in^(1/n*)))^n* rounds above or below gamma_in, by up to
+        # about n* eps / |ln gamma_in|; half the n give theta just above 1,
+        # which the estimate lets through
+        eps = np.finfo(np.float64).eps
+        for gamma_in in (1e-200, 0.05, E_INV, 0.5, 0.999):
+            for n in range(1, 41):
+                theta = estimate_extremal_index(IIDField(marginal), (n, n), gamma_in).theta
+                assert abs(theta - 1.0) <= 8.0 * eps * (n * n / abs(math.log(gamma_in)) + 1.0)
 
     @settings(max_examples=80, deadline=None)
     @given(

@@ -332,7 +332,8 @@ class TestMovingMax:
     def test_marginal_is_window_power(self):
         mm = MovingMaxField((2, 2), uniform())
         x = np.array([0.3, 0.5, 0.9])
-        assert np.allclose(mm.marginal_cdf(x), x**4, atol=0)
+        # one site is the block (1, 1): the max of the 2 x 2 innovations of its window
+        assert np.allclose(mm.exact_block_max_cdf((1, 1), x), x**4, atol=0)
 
     def test_exact_block_law_formula(self):
         mm = MovingMaxField((2, 2), uniform())

@@ -19,6 +19,7 @@ ORACLES = {
     "equicorrelated_maxes": "draws the comparison maxima that test the quadrature of equicorrelated_max_cdf",
     "uniform_candidate": "the powered-uniform candidate with a known phantom distance",
     "construct_G_psi": "builds the phantom candidate of the acceptance criteria",
+    "exact_level_sequence": "the closed-form levels from which criterion 7 builds G_psi",
 }
 
 
