@@ -3,10 +3,11 @@
 Subcommands: simulate | sectorial-test | directional-test | extremal-index
 | beta | berman. Each run resolves a config (built-in defaults <- JSON
 config file <- CLI flags) and checks all of it before the command runs:
-a field keeps the type of its default, a tolerance is nonnegative, and
-a nested object (``model``, its ``innovations``, beta's ``curve``) names
-one of its kinds in ``KINDS`` and only that kind's fields, whose
-defaults are filled in. Other ranges (a feasible gamma pair, a window or
+a field keeps the type of its default, a tolerance is nonnegative, a
+grid (``n_grid``, ``N_grid``) is strictly increasing, and a nested
+object (``model``, its ``innovations``, beta's ``curve``) names one of
+its kinds in ``KINDS`` and only that kind's fields, whose defaults are
+filled in. Other ranges (a feasible gamma pair, a window or
 a curve coordinate >= 1) are the library's to check. A command returns
 its header, rows and verdicts; ``main`` writes them to results.csv and
 summary.json in the output directory and exits 0 on success, 2 when a
@@ -68,6 +69,9 @@ CHOICES = {"marginal": ("uniform", "normal")}
 NULLABLE_FIELDS = {"level", "expected_theta"}
 # the tolerances a verdict compares against: a negative one fails every verdict
 NONNEGATIVE_FIELDS = {"tol", "tol_final", "separation_factor"}
+# the grids whose verdicts compare a row with the rows after it: out of
+# order, a distance or gap that grows with n would pass as shrinking
+INCREASING_FIELDS = {"n_grid", "N_grid"}
 
 
 def _type_error(value, default) -> str | None:
@@ -120,6 +124,8 @@ def _checked(key: str, value, default, part: str = "config"):
         raise ConfigError(f"{part} field {key!r} {why}, got {json.dumps(value)}")
     if key in NONNEGATIVE_FIELDS and not value >= 0:
         raise ConfigError(f"{part} field {key!r} must be nonnegative, got {json.dumps(value)}")
+    if key in INCREASING_FIELDS and any(a >= b for a, b in zip(value, value[1:])):
+        raise ConfigError(f"{part} field {key!r} must be strictly increasing, got {json.dumps(value)}")
     if key in CHOICES:
         _choice(f"{part} field {key!r}", value, CHOICES[key])
     if key not in KINDS:

@@ -49,8 +49,10 @@ class CharacteristicPolygon:
     tail: Callable[[np.ndarray], np.ndarray] | None = None
     name: str = "polygon"
 
-    # per-length Cholesky factors of the Toeplitz matrix, filled lazily
+    # per-length Cholesky factors of the Toeplitz matrix and half-spectrum
+    # weights of its circulant embedding, filled lazily
     _chol_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _spectrum_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __call__(self, t) -> np.ndarray | float:
         t = np.abs(np.asarray(t, dtype=np.float64))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -11,9 +10,14 @@ import numpy as np
 
 @dataclass(frozen=True, eq=False)
 class MonotoneCurve:
-    """Map n -> N^d with nondecreasing coordinates, materializable as a table."""
+    """Map n -> N^d with nondecreasing coordinates, materializable as a table.
 
-    fn: Callable[[int], tuple[int, ...]]
+    ``fn`` is the formula on arrays: it maps an integer array of n to the
+    array of their points, one more axis of length d; ``curve(n)`` and
+    ``table`` both evaluate it.
+    """
+
+    fn: Callable[[np.ndarray], np.ndarray]
     d: int
     name: str = "curve"
     n_min: int = 1
@@ -21,7 +25,9 @@ class MonotoneCurve:
     def __call__(self, n: int) -> tuple[int, ...]:
         if n < self.n_min:
             raise ValueError(f"{self.name} is defined for n >= {self.n_min}")
-        return self.fn(n)
+        if n >= 2**63:
+            raise ValueError(f"{self.name} is evaluated in int64, so n must be below 2^63, got {n}")
+        return tuple(int(x) for x in self.fn(np.int64(n)))
 
     def table(self, horizon: int) -> np.ndarray:
         """Points for n = n_min..horizon as an (horizon - n_min + 1, d) array.
@@ -29,19 +35,20 @@ class MonotoneCurve:
         The componentwise running max is applied, so a raw formula with
         small-n dips still materializes as a monotone table.
         """
-        pts = np.array([self.fn(n) for n in range(self.n_min, horizon + 1)], dtype=np.int64)
+        pts = self.fn(np.arange(self.n_min, horizon + 1, dtype=np.int64))
         return np.maximum.accumulate(pts, axis=0)
 
 
 def curve_diagonal(d: int = 2) -> MonotoneCurve:
     if d < 1:
         raise ValueError(f"diagonal curve needs d >= 1, got {d}")
-    return MonotoneCurve(fn=lambda n: (n,) * d, d=d, name="diagonal")
+    return MonotoneCurve(fn=lambda n: np.repeat(np.asarray(n)[..., None], d, axis=-1), d=d, name="diagonal")
 
 
-def _psi_example_raw(n: int) -> tuple[int, int]:
-    ln = math.log(n)
-    return (int(n / ln), int(ln))
+def _psi_example(n: np.ndarray) -> np.ndarray:
+    """(floor(n / ln n), floor(ln n)) for each n of an integer array."""
+    ln = np.log(n)
+    return np.stack([np.floor(n / ln), np.floor(ln)], axis=-1).astype(np.int64)
 
 
 def curve_psi_example() -> MonotoneCurve:
@@ -51,9 +58,10 @@ def curve_psi_example() -> MonotoneCurve:
     there, so the running-max repair in table() never changes a value;
     consecutive points do coincide for many n (the product of the
     coordinates grows much slower than n), so the curve is not strictly
-    increasing.
+    increasing. ``np.log`` and ``math.log`` differ in the last bit at a few
+    n, but the floors agree with the scalar formula for every n <= 2e6.
     """
-    return MonotoneCurve(fn=_psi_example_raw, d=2, name="psi_example", n_min=3)
+    return MonotoneCurve(fn=_psi_example, d=2, name="psi_example", n_min=3)
 
 
 def curve_from_table(points, name: str = "table") -> MonotoneCurve:
@@ -70,9 +78,9 @@ def curve_from_table(points, name: str = "table") -> MonotoneCurve:
         n = int(dec[0]) + 2  # the 1-based row of the first point below its predecessor
         raise ValueError(f"table curve decreases at row {n}: {pts[n - 1].tolist()} after {pts[n - 2].tolist()}")
 
-    def fn(n: int) -> tuple[int, ...]:
-        if n > len(pts):
+    def fn(n: np.ndarray) -> np.ndarray:
+        if np.any(n > len(pts)):
             raise ValueError(f"table curve has horizon {len(pts)}")
-        return tuple(int(x) for x in pts[n - 1])
+        return pts[n - 1]
 
     return MonotoneCurve(fn=fn, d=pts.shape[1], name=name)

@@ -1,23 +1,31 @@
 """Exact samplers for the field models and their oracle laws.
 
 Models share one RNG contract: a run with master seed s reads one
-generator, ``np.random.default_rng(s)`` (PCG64), and replication r is the
-r-th block of its draws, whatever chunk it falls in and however many
-replications follow. The iid and moving-max draws are bit-identical under
-any chunking; the Gaussian transform is a BLAS product whose rounding can
-depend on where a replication sits in its chunk, so its draws agree to the
-last bit or two (within 4 ulps of the largest value at (20, 20)).
+generator, ``np.random.default_rng(s)`` (PCG64), and a draw on ``dims``
+fills the rectangle ``dilated(dims)`` with i.i.d. inputs, so replication
+r is the r-th block of prod(dilated(dims)) draws, whatever chunk it falls
+in and however many replications follow. The input rectangle is ``dims``
+itself, but for a moving max (dims + window - 1) and for a Gaussian axis
+of length n >= ``FFT_MIN_N`` (its circulant embedding length m, about
+2n). The iid and moving-max draws are bit-identical under any chunking.
+A Gaussian draw goes through its circulant axes one replication at a
+time, and through its Schur axes as a BLAS product over the chunk, whose
+rounding can depend on where a replication sits in it, so Gaussian draws
+agree to the last bit or two (within 4 ulps of the largest value at
+(20, 20)).
 
 Every Monte-Carlo consumer draws its replications through
 ``FieldModel.batches``, one chunk at a time. A chunk holds as many
-replications as fit in ``CHUNK_BYTES`` of float64 draws, and at least one.
-8 MiB stays about cache-sized through the fill, the transform and the
-reduction, and memory grows neither with the replication count nor with
-the rectangle, beyond one replication.
+replications as fit in ``CHUNK_BYTES`` of float64 inputs on
+``dilated(dims)``, and at least one. 8 MiB stays about cache-sized
+through the fill, the transform and the reduction, and memory grows
+neither with the replication count nor with the rectangle, beyond one
+replication.
 
 scipy is imported inside the functions that use it (``dtrmm`` in the
 Gaussian transform, ``ndtr``/``log_ndtr``/``ndtri`` in the normal law), so
-importing the package loads none of it.
+importing the package loads none of it; the circulant axes use
+``numpy.fft``, never ``scipy.fft``.
 """
 
 from __future__ import annotations
@@ -31,6 +39,11 @@ from . import kernels
 from .covariance import CharacteristicPolygon, SeparableCovariance
 
 CHUNK_BYTES = 8 << 20
+# a Gaussian axis this long or longer is drawn through its circulant
+# embedding, a shorter one through its Schur factor: with twice the normals
+# to fill, the FFT line overtakes the triangular product at about this n
+# (measured in the README, "Kernels and performance")
+FFT_MIN_N = 1600
 
 
 class FactorizationError(RuntimeError):
@@ -42,6 +55,18 @@ class FactorizationError(RuntimeError):
         super().__init__(
             f"axis {axis} Toeplitz matrix is not positive definite "
             f"(leading minor {minor})"
+        )
+
+
+class EmbeddingError(FactorizationError):
+    """The circulant embedding of an axis has a negative eigenvalue; carries the axis and that eigenvalue."""
+
+    def __init__(self, axis: int, eigenvalue: float):
+        self.axis = axis
+        self.minor = None
+        self.eigenvalue = eigenvalue
+        RuntimeError.__init__(
+            self, f"axis {axis} circulant embedding is not nonnegative definite (eigenvalue {eigenvalue:.6g})"
         )
 
 
@@ -166,7 +191,7 @@ class FieldModel:
         raise NotImplementedError
 
     def dilated(self, dims) -> tuple[int, ...]:
-        """The rectangle of i.i.d. inputs a draw on ``dims`` fills: ``dims``, but for a moving max."""
+        """The rectangle of i.i.d. inputs a draw on ``dims`` fills: ``dims``, but for a moving max and a circulant axis."""
         return dims
 
     @staticmethod
@@ -324,18 +349,89 @@ def toeplitz_cholesky(poly: CharacteristicPolygon, n: int, axis: int = 0) -> np.
     return L
 
 
+def embedding_length(n: int) -> int:
+    """The circulant length of an axis of n: the smallest even 2*3*5-smooth integer >= 2(n - 1), and >= 2."""
+    m = max(2, 2 * (n - 1))
+    while True:
+        r = m
+        for p in (2, 3, 5):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 2
+
+
+def circulant_weights(poly: CharacteristicPolygon, n: int, axis: int = 0) -> np.ndarray:
+    """Half-spectrum weights of the circulant embedding of T[a, b] = poly(a - b), cached per length.
+
+    The embedding is the symmetric circulant of length m = embedding_length(n)
+    with first row c_j = poly(min(j, m - j)); m >= 2(n - 1), so its leading
+    n x n block is T. Its eigenvalues are lambda = rfft(c), real because c is
+    even. A convex nonincreasing sequence has lambda >= 0 (Craigmile, J. Time
+    Ser. Anal. 2003), as a Polya polygon's does; an eigenvalue below
+    -1e-12 max(lambda) raises ``EmbeddingError``, and the rounding noise above
+    that bound is set to 0. A flat polygon has the singular spectrum
+    (m, 0, ..., 0): its axis is one normal variable repeated, the exact law of
+    the all-ones covariance, which has no Cholesky factor.
+
+    The weight of frequency k is sqrt(lambda_k / m) at k = 0 and m/2 and
+    sqrt(lambda_k / 2m) between, given twice in a row (length m + 2), as
+    ``_circulant`` multiplies the float view of its half-spectrum.
+    """
+    cached = poly._spectrum_cache.get(n)
+    if cached is not None:
+        return cached
+    m = embedding_length(n)
+    j = np.arange(m)
+    lam = np.fft.rfft(poly(np.minimum(j, m - j).astype(np.float64))).real
+    low = float(lam.min())
+    if low < -1e-12 * float(lam.max()):
+        raise EmbeddingError(axis=axis, eigenvalue=low)
+    w = np.sqrt(np.maximum(lam, 0.0) / (2 * m))
+    w[[0, -1]] *= math.sqrt(2.0)
+    w = np.repeat(w, 2)
+    poly._spectrum_cache[n] = w
+    return w
+
+
+def _circulant(z, w, n: int) -> np.ndarray:
+    """The first n values along the last axis of the embedding's field made of the m normals of z there.
+
+    With h = m/2, the half-spectrum V takes z[0] at frequency 0, z[2k] +
+    i z[2k+1] at k = 1..h-1 and z[1] at h. Weighted by w, its inverse real
+    FFT without the 1/m is a stationary Gaussian sequence on the circle of m
+    points whose covariance is the embedding's first row.
+    """
+    m = z.shape[-1]
+    h = m // 2
+    v = np.empty(z.shape[:-1] + (h + 1,), dtype=np.complex128)
+    np.multiply(z, w[:m], out=v.view(np.float64)[..., :m])
+    v[..., 0] = z[..., 0] * w[0]
+    v[..., h] = z[..., 1] * w[m]
+    return np.fft.irfft(v, m, norm="forward")[..., :n]
+
+
 class GaussianSeparableField(FieldModel):
     """Zero-mean unit-variance Gaussian field with separable covariance.
 
     A draw on a rectangle is an i.i.d. standard normal array pushed
-    through the per-axis Toeplitz Cholesky factors (valid because the
-    covariance is a tensor product of the axis sequences). Exact in law;
-    factors are cached per (polygon, length).
+    through one linear map per axis (valid because the covariance is a
+    tensor product of the axis sequences); exact in law. An axis shorter
+    than ``FFT_MIN_N`` uses its Toeplitz Cholesky factor; a longer one its
+    circulant embedding (Davies & Harte, Biometrika 1987), whose m inputs
+    per line make ``dilated`` m there, and whose cost is O(m log m) per line
+    instead of O(n^2). Factors and spectra are cached per (polygon, length).
 
-    Draws of a chunk of R replications share one array laid out
-    (n0, R, n1, ..., n_{d-1}): replication r is ``x[:, r]``. With the
-    replication axis next to axis 0, the products with the first and the
-    last factor are each one in-place triangular BLAS product on a
+    The axes are taken in an order with the circulant axes last (a stable
+    sort, so a draw with no circulant axis keeps the order of ``dims``).
+    A replication's block of normals fills ``dilated(dims)`` in C order over
+    the axes in that order, so the lines of the last circulant axis are
+    contiguous, and goes through its circulant axes as it is drawn. Then
+    a chunk of R replications shares one array laid out (n_a, R, n_b, ...)
+    for the order (a, b, ...): replication r is ``x[:, r]``. With the
+    replication axis next to the first axis, the products with the first
+    and the last factor are each one in-place triangular BLAS product on a
     contiguous 2-D view, so a factor is read once per chunk.
     """
 
@@ -345,9 +441,15 @@ class GaussianSeparableField(FieldModel):
         self.cov = cov
         self.marginal = _NormalMarginal()
 
-    def factors(self, dims) -> list[np.ndarray]:
+    def dilated(self, dims) -> tuple[int, ...]:
+        """The normals a draw on ``dims`` reads: ``dims``, with m = embedding_length(n) on the circulant axes."""
         if len(dims) != self.cov.d:
             raise ValueError(f"dims must have {self.cov.d} coordinates")
+        return tuple(embedding_length(n) if n >= FFT_MIN_N else n for n in dims)
+
+    def factors(self, dims) -> list[np.ndarray]:
+        """The Schur factor of every axis, whatever sampler a draw uses on it."""
+        self.dilated(dims)
         return [
             toeplitz_cholesky(ax, n, axis=i)
             for i, (ax, n) in enumerate(zip(self.cov.axes, dims))
@@ -355,28 +457,42 @@ class GaussianSeparableField(FieldModel):
 
     @staticmethod
     def _transform(x, factors):
-        """Mode-i product of x (laid out (n0, R, n1, ...)) with each factor, in place."""
+        """Mode-i product of x (laid out (n0, R, n1, ...)) with each factor, in place; None skips an axis."""
         from scipy.linalg.blas import dtrmm
 
         n0 = x.shape[0]
         # a C-ordered (rows, cols) view is the Fortran-ordered transpose, so
         # L @ V is computed as V^T <- V^T L^T and V @ L^T as V^T <- L V^T
-        dtrmm(1.0, factors[0], x.reshape(n0, -1).T, side=1, lower=1, trans_a=1, overwrite_b=1)
+        if factors[0] is not None:
+            dtrmm(1.0, factors[0], x.reshape(n0, -1).T, side=1, lower=1, trans_a=1, overwrite_b=1)
         for i, L in enumerate(factors[1:-1], start=1):
-            v = x.reshape(-1, L.shape[0], math.prod(x.shape[i + 2 :]))
-            v[...] = np.matmul(L, v)
-        if len(factors) > 1:
+            if L is not None:
+                v = x.reshape(-1, L.shape[0], math.prod(x.shape[i + 2 :]))
+                v[...] = np.matmul(L, v)
+        if len(factors) > 1 and factors[-1] is not None:
             L = factors[-1]
             dtrmm(1.0, L, x.reshape(-1, L.shape[0]).T, lower=1, overwrite_b=1)
         return x
 
     def _batch(self, dims, rng, count):
-        factors = self.factors(dims)
-        x = np.empty((dims[0], count) + dims[1:])
+        m = self.dilated(dims)
+        axes = self.cov.axes
+        circulant = [n >= FFT_MIN_N for n in dims]
+        # the circulant axes last, so that the lines of the last one are contiguous
+        order = sorted(range(len(dims)), key=circulant.__getitem__)
+        k = circulant.count(False)  # the Schur axes are order[:k]
+        weights = [circulant_weights(axes[i], dims[i], axis=i) for i in order[k:]]
+        factors = [toeplitz_cholesky(axes[i], dims[i], axis=i) for i in order[:k]]
+        shape, inputs = (tuple(v[i] for i in order) for v in (dims, m))
+        x = np.empty((shape[0], count) + shape[1:])
         for r in range(count):
-            x[:, r] = rng.standard_normal(dims)
-        # a view (R, n0, n1, ...) of the (n0, R, n1, ...) layout, not a copy
-        return np.moveaxis(self._transform(x, factors), 1, 0)
+            z = rng.standard_normal(inputs)
+            for j, w in enumerate(weights, start=k):
+                z = _circulant(z.swapaxes(j, -1), w, shape[j]).swapaxes(j, -1)
+            x[:, r] = z
+        x = self._transform(x, factors + [None] * (len(dims) - k))
+        # a view (R, n0, n1, ...) of the (n_a, R, n_b, ...) layout, not a copy
+        return np.moveaxis(x, 1, 0).transpose((0,) + tuple(1 + np.argsort(order)))
 
 
 # ---------------------------------------------------------------------------

@@ -247,6 +247,39 @@ class TestInputErrors:
         assert err.startswith("error: axis 0 ")
         assert err.count("\n") == 1
 
+    def test_negative_eigenvalue_is_one_line(self, tmp_path, capsys, monkeypatch):
+        # a concave axis polygon: its circulant embedding has the eigenvalue -0.3
+        from phantomfields import cli, sampling
+        from phantomfields.covariance import CharacteristicPolygon, SeparableCovariance
+
+        bad = CharacteristicPolygon(knots_t=np.array([0.0, 1.0, 2.0]), knots_v=np.array([1.0, 0.9, 0.5]))
+        monkeypatch.setattr(cli, "_example_covariance", lambda cfg: SeparableCovariance(axes=(bad, bad)))
+        cfg = write_cfg(tmp_path, {"dims": [sampling.FFT_MIN_N, 2], "seed": 1})
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: axis 0 circulant embedding is not nonnegative definite (eigenvalue -0.3")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("sectorial-test", "n_grid", [40, 20, 10]),
+            ("berman", "n_grid", [20, 20]),
+            ("directional-test", "N_grid", [100000000, 10000]),
+        ],
+    )
+    def test_grid_must_increase(self, tmp_path, capsys, command, key, value):
+        # out of order the verdicts read the grid backwards: at n_grid
+        # [40, 20, 10] and 200 reps the distance grew with n (0.085, 0.049,
+        # 0.042 for n = 40, 20, 10), yet both distance verdicts held and the
+        # command exited 0; directional-test judged its final gap at the
+        # smaller N
+        payload = {key: value, "reps": 200} if command != "directional-test" else {key: value}
+        cfg = write_cfg(tmp_path, payload)
+        assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: config field {key!r} must be strictly increasing, got {json.dumps(value)}\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("kind", ["gaussian_separable", "moving_max", "iid"])
     def test_empty_dims(self, tmp_path, capsys, kind):
         cfg = write_cfg(tmp_path, {"model": {"kind": kind}, "dims": [0, 4]})
@@ -546,7 +579,7 @@ def test_partial_nested_config_records_defaults(tmp_path, command, payload, key,
     assert read_summary(tmp_path / "o")["config"][key] == recorded
 
 
-HEAVY_SCIPY = ("scipy.stats", "scipy.integrate", "scipy.optimize")
+HEAVY_SCIPY = ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.fft")
 
 
 def test_startup_leaves_out_heavy_scipy(tmp_path):
@@ -555,6 +588,7 @@ def test_startup_leaves_out_heavy_scipy(tmp_path):
     Gaussian draws use scipy.linalg (``dtrmm``) and the normal law
     scipy.special (``ndtr``, ``log_ndtr``, ``ndtri``); nothing else in a
     command needs scipy, and HEAVY_SCIPY costs 0.2-0.5 s of start-up each.
+    A circulant axis draws through numpy.fft, never scipy.fft.
     Each command runs in its own fresh interpreter, because the test session
     has imported all of these already.
     """
@@ -575,6 +609,9 @@ def test_startup_leaves_out_heavy_scipy(tmp_path):
     for name, (model, uses) in models.items():
         cfg = write_cfg(tmp_path, {"model": model}, f"{name}.json")
         runs[f"simulate {name}"] = (["simulate", "--config", cfg], uses)
+    # axis 0 through its circulant embedding, axis 1 through its Schur factor
+    cfg = write_cfg(tmp_path, {"dims": [2019, 9]}, "gaussian-circulant.json")
+    runs["simulate gaussian-circulant"] = (["simulate", "--config", cfg], ("scipy.linalg",))
     code = (
         "import json, sys\n"
         "import phantomfields.cli\n"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,23 @@ class TestCurves:
         # the repair coincides with the raw formula for n >= 3
         raw = np.array([psi.fn(n) for n in range(3, 2001)])
         assert np.array_equal(table, raw)
+
+    def test_psi_example_matches_scalar_formula(self):
+        # the array formula uses np.log, which differs from math.log in the
+        # last bit at a few n; the floors agree with the scalar formula
+        # everywhere up to 2e6
+        horizon = 2_000_000
+        ns = range(3, horizon + 1)
+        lns = list(map(math.log, ns))
+        ref = np.column_stack([[int(n / ln) for n, ln in zip(ns, lns)], [int(ln) for ln in lns]])
+        psi = curve_psi_example()
+        assert np.array_equal(psi.table(horizon), ref)
+        for n in (3, 8, 5000, 20000, 10**6, horizon):
+            assert psi(n) == tuple(ref[n - 3])
+
+    def test_curve_call_rejects_n_past_int64(self):
+        with pytest.raises(ValueError, match=r"n must be below 2\^63"):
+            curve_psi_example()(2**63)
 
     def test_psi_example_points_repeat(self):
         # the product of the coordinates grows slower than n, so the curve stalls

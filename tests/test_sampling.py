@@ -25,13 +25,35 @@ from phantomfields import (
 )
 from phantomfields import sampling
 from phantomfields.covariance import SeparableCovariance
-from phantomfields.sampling import _NormalMarginal, _UniformMarginal, toeplitz_cholesky
+from phantomfields.lattice import curve_psi_example
+from phantomfields.sampling import EmbeddingError, _NormalMarginal, _UniformMarginal, toeplitz_cholesky
 
 
 def toeplitz_target(poly, n):
     c = np.asarray(poly(np.arange(n, dtype=np.float64)))
     idx = np.arange(n)
     return c[np.abs(np.subtract.outer(idx, idx))]
+
+
+class UnitNormals:
+    """A stand-in generator whose r-th ``standard_normal`` call returns the r-th unit vector of ``size``."""
+
+    def __init__(self, size: int):
+        self.size, self.calls = size, 0
+
+    def standard_normal(self, shape):
+        e = np.zeros(self.size)
+        e[self.calls] = 1.0
+        self.calls += 1
+        return e.reshape(shape)
+
+
+def implied_covariance(field, dims) -> np.ndarray:
+    """A A^T for the linear map A from a replication's input normals to its field on ``dims``."""
+    M, N = math.prod(field.dilated(dims)), math.prod(dims)
+    # replication r reads the unit vector e_r, so its field is column r of A
+    A = field._batch(dims, UnitNormals(M), M).reshape(M, N).T
+    return A @ A.T
 
 
 def chunk_reps(monkeypatch, model, dims, reps):
@@ -86,14 +108,19 @@ class TestGaussianSampler:
         assert np.array_equal(a, draw(99))
         assert not np.array_equal(a, draw(100))
 
-    @pytest.mark.parametrize("kind", ["gaussian_separable", "moving_max", "iid"])
+    @pytest.mark.parametrize("kind", ["gaussian_separable", "moving_max", "iid", "gaussian_circulant"])
     def test_chunk_invariance_long_axis(self, gauss, kind, monkeypatch):
         model = {
             "gaussian_separable": gauss,
+            "gaussian_circulant": gauss,
             "moving_max": MovingMaxField((2, 3), uniform()),
             "iid": IIDField(uniform()),
         }[kind]
         dims, reps = (300, 4), 100
+        if kind == "gaussian_circulant":
+            # axis 0 through its circulant embedding, axis 1 through its Schur factor
+            monkeypatch.setattr(sampling, "FFT_MIN_N", 300)
+            assert model.dilated(dims) == (600, 4)
         chunk_reps(monkeypatch, model, dims, 16)
         ref = model.block_maxes(dims, reps, seed=3)
         for chunk in (7, 256):
@@ -156,6 +183,38 @@ class TestGaussianSampler:
         assert err.value.axis == 1
         assert err.value.minor == info
 
+    def test_flat_polygon_is_one_repeated_variable_on_a_circulant_axis(self, monkeypatch):
+        # the all-ones Toeplitz matrix has no Cholesky factor (leading minor 2),
+        # but its embedding's spectrum (m, 0, ..., 0) is singular and
+        # nonnegative: the circulant axis repeats one N(0, 1) variable, exactly
+        flat = CharacteristicPolygon(knots_t=np.array([0.0, 1.0]), knots_v=np.array([1.0, 1.0]))
+        field = GaussianSeparableField(SeparableCovariance(axes=(flat, flat)))
+        monkeypatch.setattr(sampling, "FFT_MIN_N", 3)
+        assert np.max(np.abs(implied_covariance(field, (3, 4)) - 1.0)) <= 1e-12
+        x = field.sample_values((3, 4), np.random.default_rng(0))
+        assert np.max(np.abs(x - x[0, 0])) <= 1e-12
+
+    def test_negative_eigenvalue_names_axis_and_value(self, cov, monkeypatch):
+        # concave, so not a Polya polygon: c = (1, 0.9, 0.5, 0.5, ...) has the
+        # eigenvalues 0.5 + 0.8 cos(2 pi k / m) away from k = 0, -0.3 at k = m/2
+        bad = CharacteristicPolygon(
+            knots_t=np.array([0.0, 1.0, 2.0]), knots_v=np.array([1.0, 0.9, 0.5])
+        )
+        n = 40
+        m = sampling.embedding_length(n)
+        j = np.arange(m)
+        row = bad(np.minimum(j, m - j).astype(np.float64))
+        lowest = np.linalg.eigvalsh(row[(j[None, :] - j[:, None]) % m]).min()
+        assert lowest < -0.29
+        monkeypatch.setattr(sampling, "FFT_MIN_N", n)
+        field = GaussianSeparableField(SeparableCovariance(axes=(cov.axes[1], bad)))
+        with pytest.raises(EmbeddingError) as err:
+            field.sample_values((3, n), np.random.default_rng(0))
+        assert isinstance(err.value, FactorizationError)
+        assert err.value.axis == 1
+        assert abs(err.value.eigenvalue - lowest) <= 1e-12
+        assert str(err.value) == f"axis 1 circulant embedding is not nonnegative definite (eigenvalue {lowest:.6g})"
+
     def test_stationarity_shifted_block(self, gauss):
         # M over [1..4]^2 vs the same block anchored at (3, 3), independent runs
         reps = 1500
@@ -187,23 +246,57 @@ class TestGaussianExactness:
             ((7, 1), "d2"),
             ((300, 3), "d2"),
             ((4, 3, 5), "d3"),
+            ((4, 5), "d2"),
         ],
     )
-    def test_implied_covariance_is_target(self, cov, dims, model):
+    def test_implied_covariance_is_target(self, cov, dims, model, monkeypatch):
         if model == "d3":
             axes = (build_eta1(0.26), build_eta2(0.10), build_eta1(0.26))
             cov = SeparableCovariance(axes=axes, gammas=GammaPair(0.26, 0.10))
         field = GaussianSeparableField(cov)
-        N = math.prod(dims)
-        # replication r carries the unit vector e_r, so column r of A is the
-        # field the transform makes of it and A A^T is the implied covariance
-        e = np.eye(N).reshape((N,) + dims)
-        x = np.ascontiguousarray(np.moveaxis(e, 0, 1))
-        A = np.moveaxis(field._transform(x, field.factors(dims)), 1, 0).reshape(N, N).T
         target = np.ones((1, 1))
         for poly, n in zip(cov.axes, dims):
             target = np.kron(target, toeplitz_target(poly, n))
-        assert np.max(np.abs(A @ A.T - target)) <= 1e-12
+        # every axis through its Schur factor, the longest axes through their
+        # circulant embedding and the others through their factor, then every
+        # axis through its embedding
+        for fft_min_n in (sampling.FFT_MIN_N, max(dims), 1):
+            monkeypatch.setattr(sampling, "FFT_MIN_N", fft_min_n)
+            assert np.max(np.abs(implied_covariance(field, dims) - target)) <= 1e-12, fft_min_n
+
+    def test_embedding_length(self):
+        smooth = lambda m: m == 1 or any(m % p == 0 and smooth(m // p) for p in (2, 3, 5))
+        for n in range(1, 1200):
+            m = sampling.embedding_length(n)
+            assert m >= max(2, 2 * (n - 1)) and m % 2 == 0 and smooth(m), n
+            assert not any(smooth(k) for k in range(max(2, 2 * (n - 1)), m, 2)), n
+        assert sampling.embedding_length(72382) == 145800
+
+    def test_crossover_splits_the_skewed_points(self, gauss):
+        # the benchmark's two curve points: (587, 8) stays on the Schur
+        # factors, axis 0 of (2019, 9) is drawn through its embedding
+        assert gauss.dilated((587, 8)) == (587, 8)
+        assert gauss.dilated((2019, 9)) == (4050, 9)
+
+    def test_psi_million_draws_without_a_dense_factor(self, gauss, monkeypatch):
+        # the dense factor of axis 0 at psi(10^6) would take 42 GB: a draw that
+        # asks for one fails here at once
+        schur = sampling.toeplitz_cholesky
+
+        def short_only(poly, n, axis=0):
+            if n >= sampling.FFT_MIN_N:
+                raise AssertionError(f"a draw asked for the dense factor of order {n}")
+            return schur(poly, n, axis)
+
+        monkeypatch.setattr(sampling, "toeplitz_cholesky", short_only)
+        dims = curve_psi_example()(10**6)
+        assert dims == (72382, 13)
+        assert gauss.dilated(dims) == (145800, 13)
+        one_input = 8 * 145800 * 13
+        maxes = []
+        peak = traced_peak(lambda: maxes.append(gauss.block_maxes(dims, 2, seed=5)))
+        assert maxes[0].shape == (2,) and np.all(np.isfinite(maxes[0]))
+        assert peak <= 4 * one_input
 
 
 class TestNestedMaxes:
@@ -274,7 +367,7 @@ class TestChunkMemory:
         "kind, dims, factor",
         [
             ("gaussian_separable", (160, 160), 1.5),
-            ("gaussian_separable", (2019, 9), 1.5),
+            ("gaussian_separable", (2019, 9), 1.5),  # axis 0 through its circulant embedding
             ("iid", (160, 160), 1.5),
             ("moving_max", (160, 160), 5.0),  # the innovations and the window-max passes
         ],
