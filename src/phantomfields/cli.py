@@ -259,29 +259,33 @@ SECTORIAL_DEFAULTS = {
 }
 
 
-def _grid_maxes(model, cfg: dict) -> np.ndarray:
-    """Block maxima over the n x n squares of ``n_grid``, one row per n.
+def _sectorial_table(cfg: dict) -> list:
+    """(n, u_n, maxima, Berman bound, gap report) for each n x n square of ``n_grid``.
 
-    Each replication is drawn once, on the largest square, from the stream
-    of that square's n; every smaller square is its corner.
+    Every level u_n is solved before anything is drawn, so a bad ``c`` fails
+    at once. Each replication is drawn once, on the largest square, from the
+    stream of that square's n; every smaller square is its corner.
     """
+    model = GaussianSeparableField(_example_covariance(cfg))
     ns = cfg["n_grid"]
-    return model.nested_maxes([(n, n) for n in ns], cfg["reps"], _sub_seed(cfg["seed"], max(ns)))
+    us = [phantom.levels_u(cfg["c"], n) for n in ns]
+    maxes = model.nested_maxes([(n, n) for n in ns], cfg["reps"], _sub_seed(cfg["seed"], max(ns)))
+    table = []
+    for n, u, m in zip(ns, us, maxes):
+        b = diagnostics.berman_bound(model.cov, n, u)
+        table.append((n, u, m, b, diagnostics.bound_vs_maxima(b.total, m, n, u)))
+    return table
 
 
 def cmd_sectorial_test(cfg: dict, out: str):
     """Distance of the example field along the diagonal from powered Phi,
     with the comparison-bound domination check folded into the same rows."""
-    model = GaussianSeparableField(_example_covariance(cfg))
     phi = phantom.normal_candidate()
-    maxes = _grid_maxes(model, cfg)
     rows = []
     dists, ses = [], []
-    for n, m in zip(cfg["n_grid"], maxes):
+    for n, u, m, _, g in _sectorial_table(cfg):
         law = phantom.EmpiricalLaw(np.sort(m), cfg["reps"])
         rep = phantom.phantom_distance(law, phi, n * n)
-        u = phantom.levels_u(cfg["c"], n)
-        g = diagnostics.bound_vs_maxima(model.cov, m, n, u)
         dists.append(rep.value)
         ses.append(rep.se)
         rows.append((n, n, n, rep.value, rep.se, rep.x, u, g.p_hat, g.target, g.gap, g.bound, g.verdict))
@@ -399,23 +403,11 @@ def cmd_beta(cfg: dict, out: str):
     return ["n", "k", "beta", "mode", "grid", "level", "se"], rows, verdicts
 
 
-# the squares, replications and levels of sectorial-test
-BERMAN_DEFAULTS = SECTORIAL_DEFAULTS
-
-
 def cmd_berman(cfg: dict, out: str):
-    model = GaussianSeparableField(_example_covariance(cfg))
-    maxes = _grid_maxes(model, cfg) if cfg["reps"] > 0 else None
-    rows = []
-    for i, n in enumerate(cfg["n_grid"]):
-        u = phantom.levels_u(cfg["c"], n)
-        b = diagnostics.berman_bound(model.cov, n, u)
-        if cfg["reps"] > 0:
-            g = diagnostics.bound_vs_maxima(model.cov, maxes[i], n, u)
-            rows.append((n, u, b.total, b.sigma1, b.sigma2, b.alpha, g.gap, g.se, g.verdict))
-        else:
-            rows.append((n, u, b.total, b.sigma1, b.sigma2, b.alpha, "", "", ""))
-    verdicts = {"bound_dominates": all(bool(row[-1]) for row in rows)} if cfg["reps"] > 0 else {}
+    """sectorial-test's Berman columns, with the bound's split and the gap's standard error."""
+    table = _sectorial_table(cfg)
+    rows = [(n, u, b.total, b.sigma1, b.sigma2, b.alpha, g.gap, g.se, g.verdict) for n, u, _, b, g in table]
+    verdicts = {"bound_dominates": all(bool(row[-1]) for row in rows)}
     return ["n", "u", "bound", "sigma1", "sigma2", "alpha", "gap", "se", "verdict"], rows, verdicts
 
 
@@ -441,7 +433,8 @@ COMMANDS = {
     "directional-test": (cmd_directional_test, DIRECTIONAL_DEFAULTS),
     "extremal-index": (cmd_extremal_index, EXTREMAL_DEFAULTS),
     "beta": (cmd_beta, BETA_DEFAULTS),
-    "berman": (cmd_berman, BERMAN_DEFAULTS),
+    # the squares, replications and levels of sectorial-test
+    "berman": (cmd_berman, SECTORIAL_DEFAULTS),
 }
 
 

@@ -19,6 +19,7 @@ the tail; beyond them its closed-form tail rule gives the values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -181,19 +182,13 @@ class SeparableCovariance:
     def d(self) -> int:
         return len(self.axes)
 
-    def at(self, k) -> float:
-        k = np.atleast_1d(np.asarray(k, dtype=np.float64))
-        if k.shape[-1] != self.d:
-            raise ValueError(f"lattice point must have {self.d} coordinates")
-        out = 1.0
-        for i, ax in enumerate(self.axes):
-            out = out * ax(np.abs(k[..., i]))
-        return out
-
 
 def covariance_at(c: SeparableCovariance, k) -> float:
     """Evaluate r at a single lattice point (symmetric in k -> -k)."""
-    return float(c.at(k))
+    k = np.asarray(k, dtype=np.float64)
+    if k.shape != (c.d,):
+        raise ValueError(f"lattice point must have {c.d} coordinates")
+    return float(math.prod(ax(abs(x)) for ax, x in zip(c.axes, k)))
 
 
 @dataclass(frozen=True)

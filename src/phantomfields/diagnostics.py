@@ -28,7 +28,12 @@ from .sampling import MovingMaxField, TwoAtomInnovations, _NormalMarginal
 
 
 def _fitting_tuples(pts: np.ndarray, k: int, bound) -> np.ndarray:
-    """The k-tuples of rows of ``pts`` (P, d) that sum to <= ``bound``, lexicographic, shape (S, k, d)."""
+    """The k-tuples of rows of ``pts`` (P, d) that sum to <= ``bound``, lexicographic, shape (S, k, d).
+
+    Every split array is built here, so this is where a k below 2 is rejected.
+    """
+    if k < 2:
+        raise ValueError("k must be >= 2")
     fits = np.ones((len(pts),) * k, dtype=bool)
     for j, b in enumerate(bound):
         # coordinate j of part i varies along axis i of the k-dimensional grid
@@ -149,8 +154,6 @@ def beta_k_estimate(
     exact when available. The reported value is a lower bound for the
     true sup unless the splits cover the full admissible set.
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
     level = float(level)
     bound = constraint_box(psi, T, n)
     if mode not in ("auto", "exact", "mc"):
@@ -229,24 +232,16 @@ class BermanReport:
     L: float
     alpha: float
     a_lo: int
-    n: int
-    u: float
 
 
-def berman_bound(
-    c: SeparableCovariance,
-    n: int,
-    u: float,
-    alpha: float | None = None,
-    method: str = "direct",
-) -> BermanReport:
+def berman_bound(c: SeparableCovariance, n: int, u: float, method: str = "direct") -> BermanReport:
     """4 L(delta) n^2 sum over the punctured box [0, n]^2 of r * exp(-u^2/(1+r)).
 
     Also reports the split of the sum into Sigma1 (indices in
-    [ceil(n^alpha), n]^2) and Sigma2 (the rest), with alpha defaulting to
-    the midpoint of (0, (1 - 3 delta)/(1 + delta)). The two summation
-    methods ("direct" 2-d reduction vs "factored" row partial sums) are
-    algebraically identical and serve as a cross-check pair.
+    [ceil(n^alpha), n]^2) and Sigma2 (the rest), with alpha the midpoint
+    of (0, (1 - 3 delta)/(1 + delta)). The two summation methods ("direct"
+    2-d reduction vs "factored" row partial sums) are algebraically
+    identical and serve as a cross-check pair.
     """
     if u <= 0:
         raise ValueError("u must be positive")
@@ -256,11 +251,10 @@ def berman_bound(
         raise ValueError("the comparison bound is implemented for d = 2")
     delta = delta_sup(c).value
     L = (1.0 / (2.0 * math.pi)) / math.sqrt(1.0 - delta * delta)  # the normal-comparison constant
-    if alpha is None:
-        hi = (1.0 - 3.0 * delta) / (1.0 + delta)
-        if hi <= 0:
-            raise ValueError(f"delta = {delta:.4f} leaves no admissible alpha")
-        alpha = 0.5 * hi
+    hi = (1.0 - 3.0 * delta) / (1.0 + delta)
+    if hi <= 0:
+        raise ValueError(f"delta = {delta:.4f} leaves no admissible alpha")
+    alpha = 0.5 * hi
     idx = np.arange(0, n + 1, dtype=np.float64)
     ax1 = np.asarray(c.axes[0](idx))
     ax2 = np.asarray(c.axes[1](idx))
@@ -297,10 +291,8 @@ def berman_bound(
         sigma2=scale * s2,
         delta=delta,
         L=L,
-        alpha=float(alpha),
+        alpha=alpha,
         a_lo=a_lo,
-        n=n,
-        u=float(u),
     )
 
 
@@ -312,27 +304,24 @@ class GapReport:
     verdict: bool
     p_hat: float
     target: float
-    n: int
-    u: float
 
 
-def bound_vs_maxima(c: SeparableCovariance, maxes, n: int, u: float) -> GapReport:
-    """Check the comparison bound on block maxima of the n x n square already drawn.
+def bound_vs_maxima(bound: float, maxes, n: int, u: float) -> GapReport:
+    """Check ``bound``, the comparison bound at (n, u), on block maxima of the n x n square already drawn.
 
     The verdict is |P_hat(M <= u) - Phi(u)^{n^2}| <= bound + 3 se(P_hat).
     """
     reps = len(maxes)
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
     p_hat = float(np.mean(np.asarray(maxes) <= u))
     target = float(np.exp(n * n * _NormalMarginal().log_cdf(u)))
     gap = abs(p_hat - target)
     se = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / reps) / reps)
-    b = berman_bound(c, n, u).total
-    return GapReport(
-        gap=gap, bound=b, se=se, verdict=gap <= b + 3.0 * se, p_hat=p_hat, target=target, n=n, u=float(u)
-    )
+    return GapReport(gap=gap, bound=bound, se=se, verdict=gap <= bound + 3.0 * se, p_hat=p_hat, target=target)
 
 
 def bound_vs_empirical(model, n: int, u: float, reps: int, seed: int) -> GapReport:
-    """``bound_vs_maxima`` on reps fresh draws of the n x n block maximum."""
+    """``bound_vs_maxima`` of ``berman_bound`` on reps fresh draws of the n x n block maximum."""
     maxes = model.block_maxes((n, n), reps, seed)
-    return bound_vs_maxima(model.cov, maxes, n, u)
+    return bound_vs_maxima(berman_bound(model.cov, n, u).total, maxes, n, u)

@@ -30,13 +30,8 @@ class MonotoneCurve:
         return tuple(int(x) for x in self.fn(np.int64(n)))
 
     def table(self, horizon: int) -> np.ndarray:
-        """Points for n = n_min..horizon as an (horizon - n_min + 1, d) array.
-
-        The componentwise running max is applied, so a raw formula with
-        small-n dips still materializes as a monotone table.
-        """
-        pts = self.fn(np.arange(self.n_min, horizon + 1, dtype=np.int64))
-        return np.maximum.accumulate(pts, axis=0)
+        """Points for n = n_min..horizon as an (horizon - n_min + 1, d) array."""
+        return self.fn(np.arange(self.n_min, horizon + 1, dtype=np.int64))
 
 
 def curve_diagonal(d: int = 2) -> MonotoneCurve:
@@ -55,16 +50,16 @@ def curve_psi_example() -> MonotoneCurve:
     """The 2-d log-split curve (floor(n/ln n), floor(ln n)), defined for n >= 3.
 
     Both coordinates are >= 1 from n = 3 on, and n/ln n is increasing
-    there, so the running-max repair in table() never changes a value;
-    consecutive points do coincide for many n (the product of the
-    coordinates grows much slower than n), so the curve is not strictly
-    increasing. ``np.log`` and ``math.log`` differ in the last bit at a few
-    n, but the floors agree with the scalar formula for every n <= 2e6.
+    there, so the curve is nondecreasing; consecutive points do coincide
+    for many n (the product of the coordinates grows much slower than n),
+    so it is not strictly increasing. ``np.log`` and ``math.log`` differ in
+    the last bit at a few n, but the floors agree with the scalar formula,
+    and are nondecreasing, for every n <= 2e6.
     """
     return MonotoneCurve(fn=_psi_example, d=2, name="psi_example", n_min=3)
 
 
-def curve_from_table(points, name: str = "table") -> MonotoneCurve:
+def curve_from_table(points) -> MonotoneCurve:
     """The curve through row n of ``points`` at n, in N^d: a coordinate below 1 or a
     decreasing row is an error, not repaired."""
     pts = np.asarray(points, dtype=np.int64)
@@ -83,4 +78,4 @@ def curve_from_table(points, name: str = "table") -> MonotoneCurve:
             raise ValueError(f"table curve has horizon {len(pts)}")
         return pts[n - 1]
 
-    return MonotoneCurve(fn=fn, d=pts.shape[1], name=name)
+    return MonotoneCurve(fn=fn, d=pts.shape[1], name="table")

@@ -12,7 +12,7 @@ exponents of order 1e8 neither underflow nor lose the 0/1 branches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -21,6 +21,8 @@ from .lattice import MonotoneCurve
 from .sampling import _NormalMarginal, _UniformMarginal, _rectangle, sub_seed
 
 GH_NODES = 200
+# points of the mesh that probes a continuous law with a finite support
+PROBE_MESH = 4096
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _PHI = _NormalMarginal()
 
@@ -44,7 +46,6 @@ class PhantomCandidate:
     """Evaluatable distribution function with a log-space power operation."""
 
     cdf: Callable
-    name: str = "candidate"
     log_cdf: Callable | None = None
     breakpoints: np.ndarray | None = None
 
@@ -66,11 +67,11 @@ class PhantomCandidate:
 
 
 def normal_candidate() -> PhantomCandidate:
-    return PhantomCandidate(cdf=_PHI.cdf, log_cdf=_PHI.log_cdf, name="Phi")
+    return PhantomCandidate(cdf=_PHI.cdf, log_cdf=_PHI.log_cdf)
 
 
 def uniform_candidate() -> PhantomCandidate:
-    return PhantomCandidate(cdf=_UniformMarginal().cdf, name="uniform")
+    return PhantomCandidate(cdf=_UniformMarginal().cdf)
 
 
 class StepPhantom(PhantomCandidate):
@@ -94,7 +95,7 @@ class StepPhantom(PhantomCandidate):
             raise ValueError("levels must be strictly increasing")
         if len(self.levels) != len(self.psi_star) or len(self.levels) == 0:
             raise ValueError("levels and psi_star must be nonempty and aligned")
-        super().__init__(cdf=self._cdf, name="G_psi", breakpoints=self.levels)
+        super().__init__(cdf=self._cdf, breakpoints=self.levels)
 
     def _power_at(self, x, m: float, side: str):
         x = np.asarray(x, dtype=np.float64)
@@ -128,7 +129,6 @@ class EmpiricalLaw:
 
     values: np.ndarray  # sorted
     reps: int
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.reps < 1:
@@ -156,24 +156,18 @@ class EmpiricalLaw:
 
 @dataclass(eq=False)
 class ExactLaw:
-    """Closed-form block-max law (continuous unless cdf_left says otherwise)."""
+    """Continuous closed-form block-max law on its support."""
 
     cdf: Callable
-    name: str = "exact"
-    support: tuple[float, float] = (-math.inf, math.inf)
-    cdf_left: Callable | None = None
-    breakpoints: np.ndarray | None = None
+    support: tuple[float, float]
 
-    def __post_init__(self):
-        if self.cdf_left is None:
-            self.cdf_left = self.cdf
+    def cdf_left(self, x):
+        return self.cdf(x)
 
 
 def empirical_max_law(model, dims, reps: int, seed: int) -> EmpiricalLaw:
     """reps independent draws of M_dims under the model; deterministic per seed."""
-    maxes = np.sort(model.block_maxes(tuple(dims), reps, seed))
-    prov = {"model": model.name, "dims": tuple(dims), "reps": reps, "seed": seed}
-    return EmpiricalLaw(values=maxes, reps=reps, provenance=prov)
+    return EmpiricalLaw(values=np.sort(model.block_maxes(tuple(dims), reps, seed)), reps=reps)
 
 
 def exact_max_law(model, dims) -> ExactLaw:
@@ -181,11 +175,7 @@ def exact_max_law(model, dims) -> ExactLaw:
         raise ValueError(f"model {model.name} has no exact block-max law")
     lo = float(model.exact_block_level(dims, 1e-12))
     hi = float(model.exact_block_level(dims, 1.0 - 1e-12))
-    return ExactLaw(
-        cdf=lambda x: model.exact_block_max_cdf(dims, x),
-        name=f"{model.name}-exact",
-        support=(lo, hi),
-    )
+    return ExactLaw(cdf=lambda x: model.exact_block_max_cdf(dims, x), support=(lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +192,13 @@ class DistanceReport:
     se: float | None = None
 
 
-def phantom_distance(law, G: PhantomCandidate, m: float, grid: int = 4096) -> DistanceReport:
+def phantom_distance(law, G: PhantomCandidate, m: float) -> DistanceReport:
     """sup_x |law(x) - G(x)^m| over the breakpoints of both sides.
 
     For step functions (empirical laws, level-built candidates) both
     one-sided values are checked at every jump, which makes the sup
     exact; a continuous law with a finite support is also probed on a
-    ``grid``-point mesh of it (resolution reported by the caller).
+    ``PROBE_MESH``-point mesh of it (resolution reported by the caller).
     """
     if m <= 0:
         raise ValueError("m must be positive")
@@ -222,7 +212,7 @@ def phantom_distance(law, G: PhantomCandidate, m: float, grid: int = 4096) -> Di
     if support is not None:
         xs.append(np.array([s for s in support if math.isfinite(s)]))
     if law_bp is None and support is not None and all(math.isfinite(s) for s in support):
-        xs.append(np.linspace(support[0], support[1], grid))
+        xs.append(np.linspace(support[0], support[1], PROBE_MESH))
     probes = np.unique(np.concatenate(xs)) if xs else np.empty(0)
     if len(probes) == 0:
         raise ValueError("no probe points: law and candidate expose neither breakpoints nor a finite support")
@@ -255,7 +245,6 @@ class LevelSequence:
     n_values: np.ndarray
     psi_star: np.ndarray
     levels: np.ndarray
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if np.any(np.diff(self.levels) < 0):
@@ -297,7 +286,6 @@ def estimate_level_sequence(
         n_values=np.arange(curve.n_min, horizon + 1),
         psi_star=np.prod(pts, axis=1),
         levels=np.array([EmpiricalLaw(np.sort(m), reps).quantile(gamma) for m in maxes]),
-        provenance={"model": model.name, "reps": reps, "seed": seed, "mode": "mc"},
     )
 
 
@@ -316,7 +304,6 @@ def exact_level_sequence(model, curve: MonotoneCurve, gamma: float, horizon: int
         n_values=np.arange(curve.n_min, horizon + 1),
         psi_star=np.prod(pts, axis=1),
         levels=np.maximum.accumulate(levels),
-        provenance={"model": model.name, "mode": "exact"},
     )
 
 
@@ -364,12 +351,7 @@ def gumbel_H0(x):
     return float(out) if out.ndim == 0 else out
 
 
-def _gh_nodes(nodes: int):
-    t, w = np.polynomial.hermite.hermgauss(nodes)
-    return np.sqrt(2.0) * t, w / math.sqrt(math.pi)
-
-
-def _normal_mean(f, x, nodes: int, method: str):
+def _normal_mean(f, x, method: str):
     """E f(x, Z) for a standard normal Z, at each x, clipped to [0, 1].
 
     ``f`` is a distribution function of x mixed over Z and takes arrays
@@ -389,13 +371,14 @@ def _normal_mean(f, x, nodes: int, method: str):
         )[0]
         out = np.array([quad(xi) for xi in xv])
     else:
-        z, w = _gh_nodes(nodes)
+        t, w = np.polynomial.hermite.hermgauss(GH_NODES)
+        z, w = np.sqrt(2.0) * t, w / math.sqrt(math.pi)
         out = f(xv[:, None], z[None, :]) @ w
     out = np.clip(out, 0.0, 1.0)
     return float(out[0]) if x.ndim == 0 else out
 
 
-def limit_H(x, kappa: float, nodes: int = GH_NODES, method: str = "gauss-hermite"):
+def limit_H(x, kappa: float, method: str = "gauss-hermite"):
     """The non-Gumbel limit law of the equicorrelated comparison array:
 
         H(x) = int exp(-exp(-x - kappa + sqrt(2 kappa) z)) phi(z) dz,
@@ -408,12 +391,10 @@ def limit_H(x, kappa: float, nodes: int = GH_NODES, method: str = "gauss-hermite
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     s = math.sqrt(2.0 * kappa)
-    return _normal_mean(lambda x, z: np.exp(-np.exp(np.minimum(-x - kappa + s * z, 700.0))), x, nodes, method)
+    return _normal_mean(lambda x, z: np.exp(-np.exp(np.minimum(-x - kappa + s * z, 700.0))), x, method)
 
 
-def equicorrelated_max_cdf(
-    N: int, rho: float, w, nodes: int = GH_NODES, method: str = "gauss-hermite"
-):
+def equicorrelated_max_cdf(N: int, rho: float, w, method: str = "gauss-hermite"):
     """P(max of N standard normals with common correlation rho <= w):
 
         int Phi((w - sqrt(rho) z) / sqrt(1 - rho))^N phi(z) dz,
@@ -426,7 +407,7 @@ def equicorrelated_max_cdf(
     if not 0.0 <= rho < 1.0:
         raise ValueError("rho must be in [0, 1)")
     r, s = math.sqrt(rho), math.sqrt(1.0 - rho)
-    return _normal_mean(lambda w, z: np.exp(N * _PHI.log_cdf((w - r * z) / s)), w, nodes, method)
+    return _normal_mean(lambda w, z: np.exp(N * _PHI.log_cdf((w - r * z) / s)), w, method)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +433,6 @@ class IndexEstimate:
     gamma_or: float
     gamma_in: float
     level: float
-    dims: tuple[int, ...]
 
 
 def estimate_extremal_index(model, dims, gamma_in: float = math.exp(-1.0)) -> IndexEstimate:
@@ -483,5 +463,4 @@ def estimate_extremal_index(model, dims, gamma_in: float = math.exp(-1.0)) -> In
         gamma_or=g_or,
         gamma_in=gamma_in,
         level=v,
-        dims=dims,
     )

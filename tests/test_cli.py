@@ -57,7 +57,7 @@ class TestSectorial:
     def test_berman_columns_match_nested_maxes(self, tmp_path):
         # one draw per replication on the largest square, from that square's
         # stream; each row's Berman columns are bound_vs_maxima on its corner
-        from phantomfields import GaussianSeparableField, example_covariance, levels_u
+        from phantomfields import GaussianSeparableField, berman_bound, example_covariance, levels_u
         from phantomfields.cli import _sub_seed
         from phantomfields.diagnostics import bound_vs_maxima
 
@@ -71,7 +71,8 @@ class TestSectorial:
         berman = (tmp_path / "b" / "results.csv").read_text().splitlines()[1:]
         assert len(lines) == len(berman) == len(ns)
         for n, m, line, b_line in zip(ns, maxes, lines, berman):
-            g = bound_vs_maxima(model.cov, m, n, levels_u(1.0, n))
+            u = levels_u(1.0, n)
+            g = bound_vs_maxima(berman_bound(model.cov, n, u).total, m, n, u)
             expected = [repr(g.p_hat), repr(g.target), repr(g.gap), repr(g.bound), str(g.verdict).lower()]
             assert line.split(",")[7:] == expected
             assert b_line.split(",")[6] == line.split(",")[9]  # berman's gap column
@@ -126,6 +127,13 @@ class TestOthers:
         assert rep["value"] > 0.0
         assert rep["lower_bound_only"] is True
 
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_beta_rejects_k_below_2(self, tmp_path, capsys, k):
+        # the exhaustive splits of the default config are built before beta_k_estimate runs
+        cfg = write_cfg(tmp_path, {"k": k})
+        assert run(["beta", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "error: k must be >= 2\n"
+
     def test_beta_k3_growth_verdict(self, tmp_path):
         cfg = write_cfg(tmp_path, {"k": 3})
         code = run(["beta", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -146,12 +154,26 @@ class TestOthers:
         assert run(["beta", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         assert json.loads((tmp_path / "o" / "beta.json").read_text())["bound"] == bound
 
-    def test_berman_bound_only(self, tmp_path):
+    @pytest.mark.parametrize("command", ["sectorial-test", "berman"])
+    def test_sectorial_needs_reps(self, tmp_path, capsys, command):
         cfg = write_cfg(tmp_path, {"n_grid": [5, 10], "reps": 0})
-        code = run(["berman", "--config", cfg, "--out", str(tmp_path / "o")])
-        assert code == 0
-        lines = (tmp_path / "o" / "results.csv").read_text().splitlines()
-        assert len(lines) == 3
+        assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "error: reps must be >= 1\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["sectorial-test", "berman"])
+    @pytest.mark.parametrize("c", [0.0, 100.0, 1e9])
+    def test_sectorial_level_checked_before_draws(self, tmp_path, capsys, monkeypatch, command, c):
+        # c = 100 is outside (0, n^2) at n = 10 but not at n = 20: every level is solved first
+        from phantomfields.sampling import FieldModel
+
+        def no_draws(*args):
+            raise AssertionError("drew before checking c")
+
+        monkeypatch.setattr(FieldModel, "nested_maxes", no_draws)
+        cfg = write_cfg(tmp_path, {"n_grid": [10, 20], "c": c})
+        assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "error: need 0 < c < n^2 = 100\n"
 
     def test_berman_with_mc(self, tmp_path):
         cfg = write_cfg(tmp_path, {"n_grid": [10], "reps": 300})
@@ -353,7 +375,7 @@ class TestInputErrors:
         assert err.count("\n") == 1
 
     def test_mc_beta_needs_reps(self, tmp_path, capsys):
-        # reps 0 is berman's bound-only mode, so the config loader lets it through
+        # reps 0 is a nonnegative integer, so the config loader lets it through to the command
         cfg = write_cfg(tmp_path, {"mode": "mc", "reps": 0})
         assert run(["beta", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err

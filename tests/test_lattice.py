@@ -21,7 +21,7 @@ class TestCurves:
         psi = curve_psi_example()
         table = psi.table(2000)
         assert np.all(np.diff(table, axis=0) >= 0)
-        # the repair coincides with the raw formula for n >= 3
+        # the table is the formula at each n
         raw = np.array([psi.fn(n) for n in range(3, 2001)])
         assert np.array_equal(table, raw)
 
@@ -34,7 +34,10 @@ class TestCurves:
         lns = list(map(math.log, ns))
         ref = np.column_stack([[int(n / ln) for n, ln in zip(ns, lns)], [int(ln) for ln in lns]])
         psi = curve_psi_example()
-        assert np.array_equal(psi.table(horizon), ref)
+        table = psi.table(horizon)
+        assert np.array_equal(table, ref)
+        # table() returns the raw formula, which is monotone over the whole range
+        assert np.all(np.diff(table, axis=0) >= 0)
         for n in (3, 8, 5000, 20000, 10**6, horizon):
             assert psi(n) == tuple(ref[n - 3])
 

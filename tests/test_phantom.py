@@ -90,15 +90,11 @@ class TestEmpiricalMaxLaw:
         with pytest.raises(ValueError):
             empirical_max_law(iid_uniform, (2, 2), 0, seed=1)
 
-    def test_provenance_recorded(self, iid_uniform):
-        law = empirical_max_law(iid_uniform, (2, 3), 10, seed=9)
-        assert law.provenance == {"model": "iid", "dims": (2, 3), "reps": 10, "seed": 9}
-
 
 class TestPhantomDistance:
     def test_self_distance_is_one_over_R(self, iid_uniform):
         law = empirical_max_law(iid_uniform, (2, 2), 100, seed=4)
-        self_cand = PhantomCandidate(cdf=law.cdf, breakpoints=law.values, name="self")
+        self_cand = PhantomCandidate(cdf=law.cdf, breakpoints=law.values)
         d = phantom_distance(law, self_cand, 1.0)
         assert d.value <= 1.0 / law.reps + 1e-15
 

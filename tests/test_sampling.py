@@ -108,13 +108,14 @@ class TestGaussianSampler:
         assert np.array_equal(a, draw(99))
         assert not np.array_equal(a, draw(100))
 
-    @pytest.mark.parametrize("kind", ["gaussian_separable", "moving_max", "iid", "gaussian_circulant"])
+    @pytest.mark.parametrize("kind", ["gaussian_separable", "moving_max", "iid", "gaussian_circulant", "two_atom"])
     def test_chunk_invariance_long_axis(self, gauss, kind, monkeypatch):
         model = {
             "gaussian_separable": gauss,
             "gaussian_circulant": gauss,
             "moving_max": MovingMaxField((2, 3), uniform()),
             "iid": IIDField(uniform()),
+            "two_atom": MovingMaxField((2, 3), TwoAtomInnovations(lo=-1.0, hi=2.0, p_lo=0.7)),
         }[kind]
         dims, reps = (300, 4), 100
         if kind == "gaussian_circulant":

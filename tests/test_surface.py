@@ -1,4 +1,5 @@
-"""Every name the package re-exports has a caller, or is an oracle a check needs.
+"""Every name the package re-exports has a caller, or is an oracle a check needs,
+and so does every optional parameter of a re-exported function or class.
 
 A caller is a reference in ``src/`` outside the name's own definition and
 ``__init__.py``, or a reference in ``perfbench/``. References are read from
@@ -23,9 +24,63 @@ ORACLES = {
 }
 
 
+# optional parameters that no call in src/ or perfbench/ sets
+UNSET_OPTIONS = {
+    "limit_H.method": "selects the adaptive quadrature the tests compare the Gauss-Hermite rule against",
+    "equicorrelated_max_cdf.method": "selects the adaptive quadrature the tests compare the Gauss-Hermite rule against",
+    "berman_bound.method": "selects the row-by-row sum the tests compare the direct sum against",
+    "enumeration_beta.k": "the growth criterion sets it to compare k = 3 with k = 2",
+    "PhantomCandidate.breakpoints": "StepPhantom sets it through super().__init__, which names no class",
+}
+
+
 def exported_names() -> list[str]:
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
     return [a.name for node in tree.body if isinstance(node, ast.ImportFrom) for a in node.names]
+
+
+def exported_definitions() -> dict:
+    """Re-exported name -> its top-level function or class definition."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            body = ast.parse((PACKAGE / f"{node.module}.py").read_text()).body
+            by_name = {s.name: s for s in body if isinstance(s, (ast.FunctionDef, ast.ClassDef))}
+            defs.update({a.name: by_name[a.name] for a in node.names if a.name in by_name})
+    return defs
+
+
+def optional_parameters(definition) -> list[tuple[str, int | None]]:
+    """(name, position) of each parameter with a default; position None if keyword-only.
+
+    A class's parameters are its ``__init__``'s, else its dataclass fields.
+    """
+    if isinstance(definition, ast.ClassDef):
+        init = [s for s in definition.body if isinstance(s, ast.FunctionDef) and s.name == "__init__"]
+        if not init:
+            fields = [s for s in definition.body if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+            return [(f.target.id, i) for i, f in enumerate(fields) if f.value is not None]
+        definition = init[0]
+    args = definition.args
+    params = args.posonlyargs + args.args
+    skip = 1 if params and params[0].arg == "self" else 0
+    first = len(params) - len(args.defaults)
+    out = [(p.arg, i - skip) for i, p in enumerate(params) if i >= first]
+    out += [(p.arg, None) for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def calls() -> list[tuple[str, int, set[str]]]:
+    """(callee name, positional argument count, keywords) of every call in src/ and perfbench/."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                out.append((name, len(node.args), {k.arg for k in node.keywords}))
+    return out
 
 
 def references(node) -> set[str]:
@@ -69,3 +124,20 @@ def test_every_reexport_has_a_caller_or_is_an_oracle():
     assert [n for n in exported if n not in called and n not in ORACLES] == []
     # an oracle that gains a caller, or leaves the package, leaves the list too
     assert [n for n in ORACLES if n in called or n not in exported] == []
+
+
+def test_every_optional_parameter_is_set_by_a_caller_or_listed():
+    seen = calls()
+    unset = []
+    for name, definition in exported_definitions().items():
+        for param, position in optional_parameters(definition):
+            if param.startswith("_"):
+                continue  # a cache field, filled lazily
+            if not any(
+                callee == name and (param in keywords or (position is not None and count > position))
+                for callee, count, keywords in seen
+            ):
+                unset.append(f"{name}.{param}")
+    assert sorted(n for n in unset if n not in UNSET_OPTIONS) == []
+    # an option that gains a caller, or leaves the package, leaves the list too
+    assert sorted(n for n in UNSET_OPTIONS if n not in unset) == []
