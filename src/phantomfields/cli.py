@@ -376,6 +376,9 @@ def cmd_beta(cfg: dict, out: str):
     curve = _curve_from_config(cfg["curve"])
     n, k, T = cfg["n"], cfg["k"], cfg["T"]
     bound = diagnostics.constraint_box(curve, T, n)
+    # every split array is built before a level is drawn, so a bad k fails at once
+    build = diagnostics.exhaustive_splits if cfg["exhaustive"] else diagnostics.quarter_grid_splits
+    splits = {j: build(bound, j) for j in sorted({2, k})}
     level = cfg["level"]
     if level is None:
         # the gamma-level of M_psi(n): exact, or off estimate_level_sequence's draws at horizon n
@@ -385,9 +388,8 @@ def cmd_beta(cfg: dict, out: str):
             level = phantom.EmpiricalLaw(np.sort(maxes), cfg["reps"]).quantile(cfg["gamma"])
 
     def estimate(k):
-        splits = diagnostics.exhaustive_splits(bound, k) if cfg["exhaustive"] else None
         return diagnostics.beta_k_estimate(
-            model, curve, level, T, n, k=k, splits=splits, reps=cfg["reps"], seed=cfg["seed"], mode=cfg["mode"]
+            model, curve, level, T, n, k=k, splits=splits[k], reps=cfg["reps"], seed=cfg["seed"], mode=cfg["mode"]
         )
 
     rep = estimate(k)

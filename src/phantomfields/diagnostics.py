@@ -78,7 +78,7 @@ def _block_probabilities(model, bound, level: float, mode: str, reps: int = 0, s
         for ax in range(1, m.ndim):
             m = np.maximum.accumulate(m, axis=ax)
         counts += (m <= level).sum(axis=0)
-        del m  # drop this chunk before the next is drawn: one chunk alive at a time
+        del m  # drop this chunk before the next is finished: one output block alive at a time
     return _padded(counts / reps).__getitem__
 
 

@@ -14,18 +14,25 @@ rounding can depend on where a replication sits in it, so Gaussian draws
 agree to the last bit or two (within 4 ulps of the largest value at
 (20, 20)).
 
-Every Monte-Carlo consumer draws its replications through
-``FieldModel.batches``, one chunk at a time. A chunk holds as many
-replications as fit in ``CHUNK_BYTES`` of float64 inputs on
-``dilated(dims)``, and at least one. 8 MiB stays about cache-sized
-through the fill, the transform and the reduction, and memory grows
-neither with the replication count nor with the rectangle, beyond one
-replication.
+A draw is two steps: ``_draw`` reads a chunk's inputs off the stream and
+does nothing else (for the Gaussian field one ``standard_normal`` call,
+which releases the GIL for the whole chunk), and ``_finish`` turns them
+into the field. Every Monte-Carlo consumer draws through
+``FieldModel.batches``, which reads the stream ahead: one worker thread,
+the stream's only reader, draws chunk k + 1 in replication order while
+the caller's thread finishes chunk k and reduces it, so every value is
+the one a serial draw gives. In flight at once are two input blocks and
+one output block; a chunk holds as many replications as fit that sum in
+``CHUNK_BYTES`` of float64, and at least one. 8 MiB stays about
+cache-sized through the fill, the transform and the reduction, and
+memory grows neither with the replication count nor with the rectangle,
+beyond one replication.
 
 scipy is imported inside the functions that use it (``dtrmm`` in the
 Gaussian transform, ``ndtr``/``log_ndtr``/``ndtri`` in the normal law), so
 importing the package loads none of it; the circulant axes use
-``numpy.fft``, never ``scipy.fft``.
+``numpy.fft``, never ``scipy.fft``. ``batches`` imports ``concurrent.futures``
+when it runs.
 """
 
 from __future__ import annotations
@@ -173,12 +180,15 @@ def _rectangle(dims) -> tuple[int, ...]:
 class FieldModel:
     """Base: stationary model sampled on rectangles [1, n1] x ... x [1, nd].
 
-    A model implements one draw method, ``_batch(dims, rng, count)``: the
-    next ``count`` replications of the stream ``rng``, in order, as one
-    array (count, *dims). Draws go through ``sample_values`` or ``batches``,
-    which reject empty rectangles before ``_batch`` runs. Block maxima go
-    through ``nested_maxes``, which reads every rectangle of a grid or
-    curve off one draw of the largest.
+    A model draws in two steps. ``_draw(dims, rng, count)`` reads the next
+    ``count`` replications' inputs off the stream ``rng`` as one array
+    (count, *inputs), and does nothing else; ``_finish(dims, raw)`` turns
+    them into the field (count, *dims) and reads no stream. ``_resolve``
+    computes first what ``_finish`` needs and may fail on, so a bad model
+    fails before any input is read. ``sample_values`` runs the three on
+    the caller's thread (``_batch``); ``batches`` draws one chunk ahead on
+    a worker thread. Block maxima go through ``nested_maxes``, which reads
+    every rectangle of a grid or curve off one draw of the largest.
     """
 
     name = "field"
@@ -187,35 +197,53 @@ class FieldModel:
         """One draw on the rectangle ``dims``: the next replication of the stream ``rng``."""
         return self._batch(_rectangle(dims), rng, 1)[0]
 
-    def _batch(self, dims, rng, count) -> np.ndarray:
+    def _resolve(self, dims) -> None:
+        """What ``_finish`` on ``dims`` needs and may fail on, computed before any draw: nothing here."""
+
+    def _draw(self, dims, rng, count) -> np.ndarray:
         raise NotImplementedError
+
+    def _finish(self, dims, raw) -> np.ndarray:
+        return raw
+
+    def _batch(self, dims, rng, count) -> np.ndarray:
+        self._resolve(dims)
+        return self._finish(dims, self._draw(dims, rng, count))
 
     def dilated(self, dims) -> tuple[int, ...]:
         """The rectangle of i.i.d. inputs a draw on ``dims`` fills: ``dims``, but for a moving max and a circulant axis."""
         return dims
 
-    @staticmethod
-    def _fill(shape, rng, count, rvs) -> np.ndarray:
-        """``count`` draws ``rvs(size=shape, random_state=rng)`` in turn, written into one (count, *shape) array."""
-        out = np.empty((count,) + shape)
-        for r in range(count):
-            out[r] = rvs(size=shape, random_state=rng)
-        return out
-
     def batches(self, dims, reps: int, seed: int):
         """Replications 0..reps-1 of ``seed`` in order, as chunks (R, *dims).
 
-        R is the number of float64 draws on ``dilated(dims)`` that fit in
-        ``CHUNK_BYTES``, and at least 1. The chunks read one generator,
-        made once per call, in replication order, so the values do not
-        depend on R. Reduce each chunk before drawing the next (e.g.
-        through ``map``) to keep one chunk alive at a time.
+        One worker thread, the only reader of the generator made for this
+        call, draws chunk k + 1 while the caller finishes chunk k and
+        reduces it, so the values do not depend on R. R is the number of
+        replications whose two input blocks on ``dilated(dims)`` and one
+        output block on ``dims`` fit in ``CHUNK_BYTES`` of float64, and at
+        least 1. Every chunk is a fresh array; reduce each before taking the
+        next (e.g. through ``map``) to keep one output block alive. Closing
+        or dropping the iterator waits for the draw in flight and ends the
+        worker.
         """
+        from concurrent.futures import ThreadPoolExecutor
+
         dims = _rectangle(dims)
-        chunk = max(1, CHUNK_BYTES // (8 * math.prod(self.dilated(dims))))
+        self._resolve(dims)
+        per_rep = 8 * (2 * math.prod(self.dilated(dims)) + math.prod(dims))
+        chunk = max(1, CHUNK_BYTES // per_rep)
+        counts = [min(chunk, reps - lo) for lo in range(0, reps, chunk)]
         rng = np.random.default_rng(seed)
-        for lo in range(0, reps, chunk):
-            yield self._batch(dims, rng, min(chunk, reps - lo))
+        with ThreadPoolExecutor(1) as worker:
+            ahead = []
+            for count in counts:
+                ahead.append(worker.submit(self._draw, dims, rng, count))
+                if len(ahead) == 2:
+                    # the popped future is dropped here, so chunk k's inputs die with _finish
+                    yield self._finish(dims, ahead.pop(0).result())
+            if ahead:
+                yield self._finish(dims, ahead.pop().result())
 
     def marginal_ppf(self, q):
         return self.marginal.ppf(q)
@@ -243,8 +271,8 @@ class FieldModel:
         box = tuple(max(n) for n in zip(*rects))
         corners = [(slice(None),) + tuple(slice(0, n) for n in r) for r in rects]
         axes = tuple(range(1, len(box) + 1))
-        # map drops each chunk before it draws the next, so one chunk is alive
-        # at a time (a loop over zip(range(...), batches) keeps two)
+        # map drops each chunk before it finishes the next, so one output block
+        # is alive at a time (a loop over zip(range(...), batches) keeps two)
         reduce = lambda x: np.stack([x[corner].max(axis=axes) for corner in corners])
         parts = list(map(reduce, self.batches(box, reps, seed)))
         return np.concatenate(parts, axis=1) if parts else np.empty((len(rects), 0))
@@ -267,8 +295,13 @@ class IIDField(FieldModel):
     def __init__(self, marginal):
         self.marginal = self.innovations = marginal
 
-    def _batch(self, dims, rng, count):
-        return self._fill(self.dilated(dims), rng, count, self.innovations.rvs)
+    def _draw(self, dims, rng, count):
+        """``count`` draws ``innovations.rvs`` on ``dilated(dims)`` in turn, written into one array."""
+        shape = self.dilated(dims)
+        out = np.empty((count,) + shape)
+        for r in range(count):
+            out[r] = self.innovations.rvs(size=shape, random_state=rng)
+        return out
 
     def exact_block_max_cdf(self, dims, x):
         m = math.prod(self.dilated(dims))
@@ -301,8 +334,8 @@ class MovingMaxField(IIDField):
             raise ValueError(f"dims must have {len(self.window)} coordinates")
         return tuple(n + w - 1 for n, w in zip(dims, self.window))
 
-    def _batch(self, dims, rng, count):
-        return kernels.window_max(super()._batch(dims, rng, count), (1,) + self.window)
+    def _finish(self, dims, raw):
+        return kernels.window_max(raw, (1,) + self.window)
 
     def marginal_ppf(self, q):
         w_star = math.prod(self.window)
@@ -396,7 +429,7 @@ def circulant_weights(poly: CharacteristicPolygon, n: int, axis: int = 0) -> np.
 
 
 def _circulant(z, w, n: int) -> np.ndarray:
-    """The first n values along the last axis of the embedding's field made of the m normals of z there.
+    """The first n values along the last axis of the embedding's field made of the m normals of z there, written over z.
 
     With h = m/2, the half-spectrum V takes z[0] at frequency 0, z[2k] +
     i z[2k+1] at k = 1..h-1 and z[1] at h. Weighted by w, its inverse real
@@ -409,7 +442,7 @@ def _circulant(z, w, n: int) -> np.ndarray:
     np.multiply(z, w[:m], out=v.view(np.float64)[..., :m])
     v[..., 0] = z[..., 0] * w[0]
     v[..., h] = z[..., 1] * w[m]
-    return np.fft.irfft(v, m, norm="forward")[..., :n]
+    return np.fft.irfft(v, m, norm="forward", out=z)[..., :n]
 
 
 class GaussianSeparableField(FieldModel):
@@ -425,11 +458,13 @@ class GaussianSeparableField(FieldModel):
 
     The axes are taken in an order with the circulant axes last (a stable
     sort, so a draw with no circulant axis keeps the order of ``dims``).
-    A replication's block of normals fills ``dilated(dims)`` in C order over
-    the axes in that order, so the lines of the last circulant axis are
-    contiguous, and goes through its circulant axes as it is drawn. Then
-    a chunk of R replications shares one array laid out (n_a, R, n_b, ...)
-    for the order (a, b, ...): replication r is ``x[:, r]``. With the
+    ``_draw`` reads a chunk's normals in one call, (R, *inputs), each
+    replication's block filling ``dilated(dims)`` in C order over the axes
+    in that order, so the lines of the last circulant axis are contiguous.
+    ``_finish`` writes each replication's circulant lines over its own
+    normals, then copies the chunk into one array laid out
+    (n_a, R, n_b, ...) for the order (a, b, ...): replication r is
+    ``x[:, r]``. With the
     replication axis next to the first axis, the products with the first
     and the last factor are each one in-place triangular BLAS product on a
     contiguous 2-D view, so a factor is read once per chunk.
@@ -474,23 +509,34 @@ class GaussianSeparableField(FieldModel):
             dtrmm(1.0, L, x.reshape(-1, L.shape[0]).T, lower=1, overwrite_b=1)
         return x
 
-    def _batch(self, dims, rng, count):
+    @staticmethod
+    def _order(dims) -> list[int]:
+        """The axes with the circulant ones last (a stable sort), so that the lines of the last one are contiguous."""
+        return sorted(range(len(dims)), key=lambda i: dims[i] >= FFT_MIN_N)
+
+    def _resolve(self, dims):
+        """``_order``, and the Schur factors and circulant weights of the axes in it; a bad spectrum raises before a bad factor."""
+        self.dilated(dims)
+        order = self._order(dims)
+        k = sum(n < FFT_MIN_N for n in dims)
+        weights = [circulant_weights(self.cov.axes[i], dims[i], axis=i) for i in order[k:]]
+        factors = [toeplitz_cholesky(self.cov.axes[i], dims[i], axis=i) for i in order[:k]]
+        return order, factors, weights
+
+    def _draw(self, dims, rng, count):
         m = self.dilated(dims)
-        axes = self.cov.axes
-        circulant = [n >= FFT_MIN_N for n in dims]
-        # the circulant axes last, so that the lines of the last one are contiguous
-        order = sorted(range(len(dims)), key=circulant.__getitem__)
-        k = circulant.count(False)  # the Schur axes are order[:k]
-        weights = [circulant_weights(axes[i], dims[i], axis=i) for i in order[k:]]
-        factors = [toeplitz_cholesky(axes[i], dims[i], axis=i) for i in order[:k]]
-        shape, inputs = (tuple(v[i] for i in order) for v in (dims, m))
-        x = np.empty((shape[0], count) + shape[1:])
-        for r in range(count):
-            z = rng.standard_normal(inputs)
-            for j, w in enumerate(weights, start=k):
-                z = _circulant(z.swapaxes(j, -1), w, shape[j]).swapaxes(j, -1)
-            x[:, r] = z
-        x = self._transform(x, factors + [None] * (len(dims) - k))
+        return rng.standard_normal((count,) + tuple(m[i] for i in self._order(dims)))
+
+    def _finish(self, dims, raw):
+        order, factors, weights = self._resolve(dims)
+        k = len(factors)
+        shape = tuple(dims[i] for i in order)
+        if weights:
+            for z in raw:
+                for j, w in enumerate(weights, start=k):
+                    z = _circulant(z.swapaxes(j, -1), w, shape[j]).swapaxes(j, -1)
+        x = np.ascontiguousarray(np.moveaxis(raw[(slice(None),) + tuple(map(slice, shape))], 0, 1))
+        x = self._transform(x, factors + [None] * len(weights))
         # a view (R, n0, n1, ...) of the (n_a, R, n_b, ...) layout, not a copy
         return np.moveaxis(x, 1, 0).transpose((0,) + tuple(1 + np.argsort(order)))
 

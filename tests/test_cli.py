@@ -134,6 +134,18 @@ class TestOthers:
         assert run(["beta", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == "error: k must be >= 2\n"
 
+    def test_beta_k_checked_before_the_level_is_drawn(self, tmp_path, capsys, monkeypatch):
+        # the Gaussian model has no exact law, so a null level is a Monte-Carlo draw
+        from phantomfields.sampling import FieldModel
+
+        def no_draws(*args):
+            raise AssertionError("drew before checking k")
+
+        monkeypatch.setattr(FieldModel, "batches", no_draws)
+        cfg = write_cfg(tmp_path, {"model": {"kind": "gaussian_separable"}, "level": None, "k": 0, "n": 60})
+        assert run(["beta", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "error: k must be >= 2\n"
+
     def test_beta_k3_growth_verdict(self, tmp_path):
         cfg = write_cfg(tmp_path, {"k": 3})
         code = run(["beta", "--config", cfg, "--out", str(tmp_path / "o")])

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -36,16 +37,16 @@ def toeplitz_target(poly, n):
 
 
 class UnitNormals:
-    """A stand-in generator whose r-th ``standard_normal`` call returns the r-th unit vector of ``size``."""
+    """A stand-in generator whose one-call fill of (count, *inputs) returns the next ``count`` rows of the identity."""
 
     def __init__(self, size: int):
         self.size, self.calls = size, 0
 
     def standard_normal(self, shape):
-        e = np.zeros(self.size)
-        e[self.calls] = 1.0
-        self.calls += 1
-        return e.reshape(shape)
+        count = shape[0]
+        rows = np.eye(self.size)[self.calls : self.calls + count]
+        self.calls += count
+        return rows.reshape(shape)
 
 
 def implied_covariance(field, dims) -> np.ndarray:
@@ -57,8 +58,9 @@ def implied_covariance(field, dims) -> np.ndarray:
 
 
 def chunk_reps(monkeypatch, model, dims, reps):
-    """Make ``model.batches`` on ``dims`` draw ``reps`` replications per chunk."""
-    monkeypatch.setattr(sampling, "CHUNK_BYTES", reps * 8 * math.prod(model.dilated(dims)))
+    """Make ``model.batches`` on ``dims`` draw ``reps`` replications per chunk: two input blocks and one output block each."""
+    per_rep = 8 * (2 * math.prod(model.dilated(dims)) + math.prod(dims))
+    monkeypatch.setattr(sampling, "CHUNK_BYTES", reps * per_rep)
 
 
 @pytest.fixture(scope="module")
@@ -324,11 +326,10 @@ class TestNestedMaxes:
     @pytest.mark.parametrize("kind", ["gaussian_separable", "moving_max", "iid"])
     def test_chunk_invariance(self, gauss, kind, monkeypatch):
         model = self.model(kind, gauss)
-        chunk_reps(monkeypatch, model, (7, 4), 16)
-        ref = model.nested_maxes(self.RECTS, 40, seed=6)
-        for chunk in (7, 256):
+        ref = model.nested_maxes(self.RECTS, 40, seed=6)  # the default chunk holds all 40
+        for chunk in (1, 2, 7, 16, 256):
             chunk_reps(monkeypatch, model, (7, 4), chunk)
-            assert np.array_equal(model.nested_maxes(self.RECTS, 40, seed=6), ref)
+            assert np.array_equal(model.nested_maxes(self.RECTS, 40, seed=6), ref), chunk
 
     def test_contained_rectangle_never_above(self, gauss):
         squares = [(n, n) for n in (2, 4, 8, 16)]
@@ -348,7 +349,99 @@ class TestNestedMaxes:
             gauss.nested_maxes(rects, 10, seed=1)
 
 
-MARGINAL_PAIRS = [(_UniformMarginal(), uniform()), (_NormalMarginal(), norm())]
+class CountingNormals:
+    """A stand-in generator that counts its fills and returns zeros."""
+
+    def __init__(self):
+        self.fills = 0
+
+    def standard_normal(self, shape):
+        self.fills += 1
+        return np.zeros(shape)
+
+
+class Boom(Exception):
+    pass
+
+
+class FailingMarginal:
+    """The uniform law, whose ``rvs`` raises ``error`` from its ``after``-th call on."""
+
+    def __init__(self, after: int):
+        self.after, self.calls, self.error = after, 0, Boom("rvs failed")
+
+    def rvs(self, size=None, random_state=None):
+        self.calls += 1
+        if self.calls > self.after:
+            raise self.error
+        return random_state.random(size)
+
+
+class TestReadAhead:
+    """batches draws chunk k + 1 on one worker thread while the caller finishes chunk k."""
+
+    RECTS = TestNestedMaxes.RECTS
+    BOX = (7, 4)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7, None])
+    def test_gaussian_chunks_are_the_serial_draws(self, gauss, chunk, monkeypatch):
+        # each chunk is the one a serial _batch on the same stream gives, bit
+        # for bit, and a fresh array: keeping every chunk changes none of them
+        dims, reps = (300, 4), 20
+        if chunk is not None:
+            chunk_reps(monkeypatch, gauss, dims, chunk)
+        chunks = list(gauss.batches(dims, reps, seed=3))
+        rng = np.random.default_rng(3)
+        serial = [gauss._batch(dims, rng, len(x)) for x in chunks]
+        assert sum(map(len, chunks)) == reps
+        assert all(np.array_equal(x, y) for x, y in zip(chunks, serial))
+        assert not any(np.shares_memory(x, y) for x, y in zip(chunks, chunks[1:]))
+        rects = [(300, 4), (17, 3)]
+        maxes = [[x[:, :a, :b].max(axis=(1, 2)) for a, b in rects] for x in serial]
+        assert np.array_equal(gauss.nested_maxes(rects, reps, seed=3), np.concatenate(maxes, axis=1))
+
+    def test_error_in_draw_reaches_the_caller_unchanged(self, monkeypatch):
+        model = IIDField(FailingMarginal(after=5))
+        chunk_reps(monkeypatch, model, self.BOX, 2)
+        before = threading.active_count()
+        with pytest.raises(Boom) as err:
+            model.nested_maxes(self.RECTS, 20, seed=1)
+        assert err.value is model.innovations.error
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("how", ["raise", "close"])
+    def test_consumer_that_stops_leaves_no_worker(self, gauss, how, monkeypatch):
+        chunk_reps(monkeypatch, gauss, self.BOX, 2)
+        before = threading.active_count()
+        if how == "close":
+            chunks = gauss.batches(self.BOX, 20, seed=1)
+            next(chunks), next(chunks)
+            assert threading.active_count() == before + 1
+            chunks.close()
+        else:
+            with pytest.raises(Boom):
+                for i, _ in enumerate(gauss.batches(self.BOX, 20, seed=1)):
+                    if i == 1:
+                        raise Boom
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("error", [FactorizationError, EmbeddingError])
+    def test_bad_axis_fails_before_the_first_draw(self, cov, error, monkeypatch):
+        # a polygon with no Schur factor, or (concave) a negative embedding eigenvalue
+        if error is EmbeddingError:
+            bad = CharacteristicPolygon(knots_t=np.array([0.0, 1.0, 2.0]), knots_v=np.array([1.0, 0.9, 0.5]))
+            monkeypatch.setattr(sampling, "FFT_MIN_N", 40)
+        else:
+            bad = CharacteristicPolygon(knots_t=np.array([0.0, 1.0]), knots_v=np.array([1.0, 1.0]))
+        field = GaussianSeparableField(SeparableCovariance(axes=(cov.axes[1], bad)))
+        stream = CountingNormals()
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: stream)
+        with pytest.raises(error):
+            field.nested_maxes([(3, 40)], 50, seed=0)
+        assert stream.fills == 0
+
+
+MARGINAL_PAIRS =[(_UniformMarginal(), uniform()), (_NormalMarginal(), norm())]
 
 
 def traced_peak(fn) -> int:
