@@ -24,7 +24,7 @@ import numpy as np
 from . import kernels
 from .covariance import SeparableCovariance, delta_sup
 from .lattice import MonotoneCurve
-from .sampling import MovingMaxField, TwoAtomInnovations, _NormalMarginal
+from .sampling import MovingMaxField, TwoAtomInnovations, _corner_maxes, _NormalMarginal
 
 
 def _fitting_tuples(pts: np.ndarray, k: int, bound) -> np.ndarray:
@@ -65,20 +65,21 @@ def _block_probabilities(model, bound, level: float, mode: str, reps: int = 0, s
     """dims -> P(M_dims <= level) at d index arrays ``dims`` into the box ``bound``, exact or MC.
 
     Exact mode evaluates the model's law at those arrays alone. MC mode
-    draws the full box once per replication and reads every anchored
-    sub-block off the running maxima along each axis, so all estimates
-    come from the same seeded replications.
+    draws the full box once per replication and reads M over every
+    anchored sub-block (every point of the box) off it through
+    ``_corner_maxes``, so all estimates come from the same seeded
+    replications. Each chunk adds its integer counts, so memory does not
+    grow with ``reps``.
     """
     if mode == "exact":
         # float dims: the law's exponent prod(dims) may pass the int64 range
         law = lambda dims: model.exact_block_max_cdf(np.asarray(dims, dtype=np.float64), level)
         return lambda dims: np.where(np.min(dims, axis=0) == 0, 1.0, law(dims))
-    counts = np.zeros(tuple(int(b) for b in bound), dtype=np.int64)
-    for m in model.batches(counts.shape, reps, seed):
-        for ax in range(1, m.ndim):
-            m = np.maximum.accumulate(m, axis=ax)
-        counts += (m <= level).sum(axis=0)
-        del m  # drop this chunk before the next is finished: one output block alive at a time
+    bound = tuple(int(b) for b in bound)
+    pts = (np.indices(bound) + 1).reshape(len(bound), -1).T
+    # map drops each chunk before it finishes the next: one output block alive at a time
+    below = map(lambda x: (_corner_maxes(x, pts) <= level).sum(axis=1), model.batches(bound, reps, seed))
+    counts = sum(below, np.zeros(len(pts), dtype=np.int64)).reshape(bound)
     return _padded(counts / reps).__getitem__
 
 

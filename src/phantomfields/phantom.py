@@ -303,7 +303,7 @@ def exact_level_sequence(model, curve: MonotoneCurve, gamma: float, horizon: int
         gamma=gamma,
         n_values=np.arange(curve.n_min, horizon + 1),
         psi_star=np.prod(pts, axis=1),
-        levels=np.maximum.accumulate(levels),
+        levels=levels,
     )
 
 

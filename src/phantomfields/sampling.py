@@ -18,11 +18,12 @@ A draw is two steps: ``_draw`` reads a chunk's inputs off the stream and
 does nothing else (for the Gaussian field one ``standard_normal`` call,
 which releases the GIL for the whole chunk), and ``_finish`` turns them
 into the field. Every Monte-Carlo consumer draws through
-``FieldModel.batches``, which reads the stream ahead: one worker thread,
-the stream's only reader, draws chunk k + 1 in replication order while
-the caller's thread finishes chunk k and reduces it, so every value is
-the one a serial draw gives. In flight at once are two input blocks and
-one output block; a chunk holds as many replications as fit that sum in
+``FieldModel.batches``, which reads the stream ahead: the caller's thread
+draws chunk 0, then one worker thread draws chunk k + 1 in replication
+order while the caller's thread finishes chunk k and reduces it. One
+thread at a time reads the stream, so every value is the one a serial
+draw gives. In flight at once are two input blocks and one output
+block; a chunk holds as many replications as fit that sum in
 ``CHUNK_BYTES`` of float64, and at least one. 8 MiB stays about
 cache-sized through the fill, the transform and the reduction, and
 memory grows neither with the replication count nor with the rectangle,
@@ -177,6 +178,28 @@ def _rectangle(dims) -> tuple[int, ...]:
     return dims
 
 
+def _corner_maxes(x: np.ndarray, rects: np.ndarray) -> np.ndarray:
+    """The max of each replication of the chunk ``x`` (R, *box) over each rectangle of ``rects`` (P, d) at the origin, shape (P, R).
+
+    One axis at a time: the slab between two consecutive distinct lengths
+    of the rectangles on that axis is reduced once, and a running max over
+    the slabs gives the max up to each length. Every rectangle is then read
+    off by the positions of its lengths. A maximum has no rounding, so the
+    values are those of a separate max over each rectangle's corner.
+    """
+    where = []
+    for ax, col in enumerate(rects.T, start=1):
+        ends = np.unique(col).tolist()
+        y = np.empty(x.shape[:ax] + (len(ends),) + x.shape[ax + 1 :], dtype=x.dtype)
+        xs, ys = np.moveaxis(x, ax, 0), np.moveaxis(y, ax, 0)
+        for i, (lo, hi) in enumerate(zip([0] + ends[:-1], ends)):
+            np.maximum.reduce(xs[lo:hi], axis=0, out=ys[i])
+        np.maximum.accumulate(ys, axis=0, out=ys)
+        x = y
+        where.append(np.searchsorted(ends, col))
+    return x[(slice(None),) + tuple(where)].T
+
+
 class FieldModel:
     """Base: stationary model sampled on rectangles [1, n1] x ... x [1, nd].
 
@@ -217,15 +240,16 @@ class FieldModel:
     def batches(self, dims, reps: int, seed: int):
         """Replications 0..reps-1 of ``seed`` in order, as chunks (R, *dims).
 
-        One worker thread, the only reader of the generator made for this
-        call, draws chunk k + 1 while the caller finishes chunk k and
-        reduces it, so the values do not depend on R. R is the number of
-        replications whose two input blocks on ``dilated(dims)`` and one
-        output block on ``dims`` fit in ``CHUNK_BYTES`` of float64, and at
-        least 1. Every chunk is a fresh array; reduce each before taking the
-        next (e.g. through ``map``) to keep one output block alive. Closing
-        or dropping the iterator waits for the draw in flight and ends the
-        worker.
+        The caller's thread draws chunk 0; then one worker thread draws
+        chunk k + 1 while the caller finishes chunk k and reduces it. The
+        generator made for this call has one reader at a time, in
+        replication order, so the values do not depend on R. R is the
+        number of replications whose two input blocks on ``dilated(dims)``
+        and one output block on ``dims`` fit in ``CHUNK_BYTES`` of float64,
+        and at least 1. Every chunk is a fresh array; reduce each before
+        taking the next (e.g. through ``map``) to keep one output block
+        alive. Closing or dropping the iterator waits for the draw in flight
+        and ends the worker.
         """
         from concurrent.futures import ThreadPoolExecutor
 
@@ -235,15 +259,19 @@ class FieldModel:
         chunk = max(1, CHUNK_BYTES // per_rep)
         counts = [min(chunk, reps - lo) for lo in range(0, reps, chunk)]
         rng = np.random.default_rng(seed)
+        # ahead holds, per chunk drawn or in flight, a call that returns its
+        # inputs. Chunk 0 is drawn here before the worker starts (at the first
+        # submit), so a one-chunk run starts no thread. Chunk k + 1 is queued
+        # before chunk k is awaited, so the worker starts it without waiting
+        # for the caller.
+        ahead = [[self._draw(dims, rng, count)].pop for count in counts[:1]]
         with ThreadPoolExecutor(1) as worker:
-            ahead = []
-            for count in counts:
-                ahead.append(worker.submit(self._draw, dims, rng, count))
-                if len(ahead) == 2:
-                    # the popped future is dropped here, so chunk k's inputs die with _finish
-                    yield self._finish(dims, ahead.pop(0).result())
+            for count in counts[1:]:
+                ahead.append(worker.submit(self._draw, dims, rng, count).result)
+                # popped, chunk k's inputs die with _finish
+                yield self._finish(dims, ahead.pop(0)())
             if ahead:
-                yield self._finish(dims, ahead.pop().result())
+                yield self._finish(dims, ahead.pop()())
 
     def marginal_ppf(self, q):
         return self.marginal.ppf(q)
@@ -263,19 +291,22 @@ class FieldModel:
         componentwise-largest rectangle, and M over each rectangle is
         the max over its corner of that draw. A row is therefore never
         above the row of a rectangle that contains it, and the values do
-        not depend on the chunking.
+        not depend on the chunking. The corners are reduced together
+        (``_corner_maxes``): a replication costs one pass over the box plus
+        one step per distinct length on each axis, however many rectangles.
         """
         rects = [_rectangle(r) for r in rects]
         if not rects or len({len(r) for r in rects}) != 1:
             raise ValueError("rects must be a nonempty list of rectangles of one dimension")
-        box = tuple(max(n) for n in zip(*rects))
-        corners = [(slice(None),) + tuple(slice(0, n) for n in r) for r in rects]
-        axes = tuple(range(1, len(box) + 1))
-        # map drops each chunk before it finishes the next, so one output block
-        # is alive at a time (a loop over zip(range(...), batches) keeps two)
-        reduce = lambda x: np.stack([x[corner].max(axis=axes) for corner in corners])
-        parts = list(map(reduce, self.batches(box, reps, seed)))
-        return np.concatenate(parts, axis=1) if parts else np.empty((len(rects), 0))
+        rects = np.array(rects)
+        out = np.empty((len(rects), reps))
+        lo = 0
+        # map drops each chunk, and del each chunk's maxima, before the next chunk is reduced
+        for part in map(lambda x: _corner_maxes(x, rects), self.batches(tuple(rects.max(axis=0)), reps, seed)):
+            out[:, lo : lo + part.shape[1]] = part
+            lo += part.shape[1]
+            del part
+        return out
 
     def block_maxes(self, dims, reps: int, seed: int) -> np.ndarray:
         """reps independent draws of M_dims: ``nested_maxes`` on one rectangle."""

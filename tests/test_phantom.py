@@ -206,6 +206,15 @@ class TestLevelSequences:
         seq = exact_level_sequence(iid_uniform, curve_diagonal(2), E_INV, horizon=10)
         assert np.allclose(seq.levels, [E_INV ** (1.0 / (n * n)) for n in range(1, 11)], rtol=1e-14)
 
+    def test_exact_sequence_rejects_a_decreasing_level(self):
+        # a model whose exact level falls at n = 3 is an error, not a level to repair
+        class Falling(IIDField):
+            def exact_block_level(self, dims, gamma):
+                return super().exact_block_level(dims, gamma) - 0.5 * (dims[0] == 3)
+
+        with pytest.raises(ValueError, match="nondecreasing"):
+            exact_level_sequence(Falling(uniform()), curve_diagonal(2), 0.5, horizon=5)
+
     def test_exact_sequence_needs_exact_law(self):
         from phantomfields import GaussianSeparableField, example_covariance
 

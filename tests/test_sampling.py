@@ -1,9 +1,11 @@
+import concurrent.futures
 import math
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg.lapack import dpotrf
 from scipy.special import ndtr
 from scipy.stats import ks_2samp, norm, uniform
@@ -27,7 +29,7 @@ from phantomfields import (
 from phantomfields import sampling
 from phantomfields.covariance import SeparableCovariance
 from phantomfields.lattice import curve_psi_example
-from phantomfields.sampling import EmbeddingError, _NormalMarginal, _UniformMarginal, toeplitz_cholesky
+from phantomfields.sampling import EmbeddingError, _corner_maxes, _NormalMarginal, _UniformMarginal, toeplitz_cholesky
 
 
 def toeplitz_target(poly, n):
@@ -349,6 +351,51 @@ class TestNestedMaxes:
             gauss.nested_maxes(rects, 10, seed=1)
 
 
+def corner_maxes_reference(x, rects):
+    """The per-corner reference: a separate max over each rectangle's corner of each replication, shape (P, R)."""
+    axes = tuple(range(1, x.ndim))
+    return np.stack([x[(slice(None),) + tuple(slice(0, n) for n in r)].max(axis=axes) for r in rects])
+
+
+@st.composite
+def chunks_and_rects(draw):
+    """A chunk (R, *box) of d <= 3 with ties, laid out in any axis order, and rectangles in the box.
+
+    The rectangles come in any order, may repeat, and may be the box alone.
+    """
+    d = draw(st.integers(1, 3))
+    box = draw(st.tuples(*[st.integers(1, 6)] * d))
+    rect = st.tuples(*[st.integers(1, n) for n in box])
+    rects = draw(st.one_of(st.just([box]), st.lists(rect, min_size=1, max_size=8)))
+    rects = rects + rects[:1] * draw(st.integers(0, 1))
+    shape = (draw(st.integers(1, 4)),) + box
+    x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, 4, shape).astype(np.float64)
+    perm = draw(st.permutations(range(d + 1)))
+    return np.ascontiguousarray(x.transpose(perm)).transpose(np.argsort(perm)), np.array(rects)
+
+
+class TestCornerMaxes:
+    """``_corner_maxes``, the one reduction behind every nested maximum, against the per-corner reference."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(chunks_and_rects())
+    def test_equals_the_per_corner_maxima(self, case):
+        x, rects = case
+        before = x.copy()
+        got = _corner_maxes(x, rects)
+        assert got.shape == (len(rects), len(x))
+        assert np.array_equal(got, corner_maxes_reference(x, rects))
+        assert np.array_equal(x, before)  # the chunk is read, not written
+
+    def test_psi_table_rows_are_corners_of_sample_values_draws(self, gauss):
+        rects = curve_psi_example().table(300)
+        box = tuple(int(n) for n in rects.max(axis=0))
+        got = gauss.nested_maxes(rects, 12, seed=8)
+        rng = np.random.default_rng(8)
+        draws = np.stack([gauss.sample_values(box, rng) for _ in range(12)])
+        assert np.array_equal(got, corner_maxes_reference(draws, rects))
+
+
 class CountingNormals:
     """A stand-in generator that counts its fills and returns zeros."""
 
@@ -377,8 +424,12 @@ class FailingMarginal:
         return random_state.random(size)
 
 
+def no_submit(*args, **kwargs):
+    raise AssertionError("a draw was submitted to the worker")
+
+
 class TestReadAhead:
-    """batches draws chunk k + 1 on one worker thread while the caller finishes chunk k."""
+    """batches draws chunk 0 on the caller's thread, then chunk k + 1 on one worker thread while the caller finishes chunk k."""
 
     RECTS = TestNestedMaxes.RECTS
     BOX = (7, 4)
@@ -409,6 +460,15 @@ class TestReadAhead:
         assert err.value is model.innovations.error
         assert threading.active_count() == before
 
+    def test_error_in_the_first_chunk_starts_no_worker(self, monkeypatch):
+        # chunk 0 is drawn on the caller's thread, before any submit
+        model = IIDField(FailingMarginal(after=0))
+        chunk_reps(monkeypatch, model, self.BOX, 2)
+        monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "submit", no_submit)
+        with pytest.raises(Boom) as err:
+            model.nested_maxes(self.RECTS, 20, seed=1)
+        assert err.value is model.innovations.error
+
     @pytest.mark.parametrize("how", ["raise", "close"])
     def test_consumer_that_stops_leaves_no_worker(self, gauss, how, monkeypatch):
         chunk_reps(monkeypatch, gauss, self.BOX, 2)
@@ -424,6 +484,11 @@ class TestReadAhead:
                     if i == 1:
                         raise Boom
         assert threading.active_count() == before
+
+    def test_one_chunk_run_starts_no_thread(self, gauss, monkeypatch):
+        ref = gauss.block_maxes((4, 4), 10, seed=1)
+        monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "submit", no_submit)
+        assert np.array_equal(gauss.block_maxes((4, 4), 10, seed=1), ref)
 
     @pytest.mark.parametrize("error", [FactorizationError, EmbeddingError])
     def test_bad_axis_fails_before_the_first_draw(self, cov, error, monkeypatch):
@@ -479,6 +544,14 @@ class TestChunkMemory:
         model = TestNestedMaxes.model(kind, gauss)
         model.block_maxes((1, 1), 1, seed=0)
         assert traced_peak(lambda: model.block_maxes((1, 1), 2000, seed=1)) <= factor * sampling.CHUNK_BYTES
+
+    def test_psi_table_peak_above_the_output_is_a_chunk_multiple(self, gauss):
+        # 19998 rectangles off one (2019, 9) box: 1.26 x CHUNK_BYTES measured
+        # above the (19998, 256) output, 5.7 x for a separate max per corner
+        rects = curve_psi_example().table(20000)
+        gauss.nested_maxes(rects, 1, seed=0)
+        peak = traced_peak(lambda: gauss.nested_maxes(rects, 256, seed=1))
+        assert peak - 8 * len(rects) * 256 <= 1.5 * sampling.CHUNK_BYTES
 
 
 class TestBuiltinMarginals:
