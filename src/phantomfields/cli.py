@@ -148,8 +148,8 @@ def _load_config(path: str | None, defaults: dict, args) -> dict:
         try:
             with open(path) as fh:
                 user = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}")
+        except OSError as e:
+            raise ConfigError(f"cannot read config {path}: {e.strerror}")
         except json.JSONDecodeError as e:
             raise ConfigError(f"malformed config {path}: line {e.lineno} column {e.colno}: {e.msg}")
         if not isinstance(user, dict):
@@ -176,6 +176,15 @@ def _fmt(x) -> str:
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
     return str(x)
+
+
+def _check_out(out: str) -> None:
+    """Reject an ``--out`` that is, or lies under, an existing non-directory, before the command runs."""
+    for path in (Path(out), *Path(out).parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ConfigError(f"--out {out}: {path} exists and is not a directory")
+            return
 
 
 def _out_dir(out: str) -> Path:
@@ -463,11 +472,12 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         fn, defaults = COMMANDS[args.command]
         cfg = _load_config(args.config, defaults, args)
+        _check_out(args.out)
         header, rows, verdicts = fn(cfg, args.out)
-    except (ConfigError, ValueError, FactorizationError) as e:
+        _write_outputs(args.out, args.command, cfg, header, rows, verdicts)
+    except (ConfigError, ValueError, FactorizationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    _write_outputs(args.out, args.command, cfg, header, rows, verdicts)
     return 0 if all(verdicts.values()) else 2
 
 

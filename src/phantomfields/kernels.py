@@ -11,41 +11,36 @@ def backend() -> str:
 
 
 # ---------------------------------------------------------------------------
-# sliding-window maximum along the last axis
+# sliding-window maximum
 #
-# Rectangular-window maxima are separable: applying the 1-d kernel along
-# each axis in turn gives the full d-dimensional window maximum.
+# Rectangular-window maxima are separable: a running max of the shifted
+# slices (views) along each axis in turn gives the d-dimensional maximum.
 # ---------------------------------------------------------------------------
-
-
-def sliding_max_last(a: np.ndarray, w: int) -> np.ndarray:
-    """Max over each length-w window along the last axis (w >= 1)."""
-    if w == 1:
-        return a.copy()
-    n = a.shape[-1] - w + 1
-    out = a[..., :n].copy()
-    for off in range(1, w):
-        np.maximum(out, a[..., off : off + n], out=out)
-    return out
 
 
 def window_max(a: np.ndarray, window) -> np.ndarray:
     """d-dimensional sliding max: out[k] = max a[k : k + window].
 
     Output shape is ``a.shape - window + 1``; every window coordinate
-    must be >= 1 and no larger than the matching axis length.
+    must be >= 1 and no larger than the matching axis length. Axes past
+    ``window`` are left as they are, and an all-ones window returns ``a``.
     """
     out = a
-    d = a.ndim
     for axis, w in enumerate(window):
         if w < 1 or w > a.shape[axis]:
             raise ValueError(f"window {window} does not fit array shape {a.shape}")
-        if w == 1:
-            continue
-        moved = np.moveaxis(out, axis, d - 1)
-        moved = sliding_max_last(np.ascontiguousarray(moved), w)
-        out = np.moveaxis(moved, d - 1, axis)
-    return np.ascontiguousarray(out)
+        if w > 1:
+            n = a.shape[axis] - w + 1
+            shifted = [out[(slice(None),) * axis + (slice(off, off + n),)] for off in range(w)]
+            out = np.maximum(shifted[0], shifted[1])
+            for s in shifted[2:]:
+                np.maximum(out, s, out=out)
+    return out
+
+
+def sliding_max_last(a: np.ndarray, w: int) -> np.ndarray:
+    """Max over each length-w window along the last axis (w >= 1): ``window_max``'s last-axis case."""
+    return window_max(a, (1,) * (a.ndim - 1) + (w,))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ exponents of order 1e8 neither underflow nor lose the 0/1 branches.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -187,8 +188,6 @@ def exact_max_law(model, dims) -> ExactLaw:
 class DistanceReport:
     value: float
     x: float
-    law_value: float
-    candidate_value: float
     se: float | None = None
 
 
@@ -222,13 +221,7 @@ def phantom_distance(law, G: PhantomCandidate, m: float) -> DistanceReport:
     j = int(np.argmax(d))
     x = float(probes[j])
     se = law.se_at(x) if isinstance(law, EmpiricalLaw) else None
-    return DistanceReport(
-        value=float(d[j]),
-        x=x,
-        law_value=float(np.asarray(law.cdf(x))),
-        candidate_value=float(np.asarray(G.power(x, m))),
-        se=se,
-    )
+    return DistanceReport(value=float(d[j]), x=x, se=se)
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +344,13 @@ def gumbel_H0(x):
     return float(out) if out.ndim == 0 else out
 
 
+@functools.cache
+def _normal_nodes(n: int):
+    """The n Gauss-Hermite nodes and weights for a standard normal weight, computed once per n."""
+    t, w = np.polynomial.hermite.hermgauss(n)
+    return np.sqrt(2.0) * t, w / math.sqrt(math.pi)
+
+
 def _normal_mean(f, x, method: str):
     """E f(x, Z) for a standard normal Z, at each x, clipped to [0, 1].
 
@@ -371,8 +371,7 @@ def _normal_mean(f, x, method: str):
         )[0]
         out = np.array([quad(xi) for xi in xv])
     else:
-        t, w = np.polynomial.hermite.hermgauss(GH_NODES)
-        z, w = np.sqrt(2.0) * t, w / math.sqrt(math.pi)
+        z, w = _normal_nodes(GH_NODES)
         out = f(xv[:, None], z[None, :]) @ w
     out = np.clip(out, 0.0, 1.0)
     return float(out[0]) if x.ndim == 0 else out

@@ -14,20 +14,19 @@ rounding can depend on where a replication sits in it, so Gaussian draws
 agree to the last bit or two (within 4 ulps of the largest value at
 (20, 20)).
 
-A draw is two steps: ``_draw`` reads a chunk's inputs off the stream and
-does nothing else (for the Gaussian field one ``standard_normal`` call,
-which releases the GIL for the whole chunk), and ``_finish`` turns them
-into the field. Every Monte-Carlo consumer draws through
-``FieldModel.batches``, which reads the stream ahead: the caller's thread
-draws chunk 0, then one worker thread draws chunk k + 1 in replication
-order while the caller's thread finishes chunk k and reduces it. One
-thread at a time reads the stream, so every value is the one a serial
-draw gives. In flight at once are two input blocks and one output
-block; a chunk holds as many replications as fit that sum in
-``CHUNK_BYTES`` of float64, and at least one. 8 MiB stays about
-cache-sized through the fill, the transform and the reduction, and
-memory grows neither with the replication count nor with the rectangle,
-beyond one replication.
+A draw is two steps: ``_draw`` reads a chunk's inputs off the stream in
+one call and does nothing else (for the Gaussian field one
+``standard_normal`` call, which releases the GIL for the whole chunk),
+and ``_finish`` turns them into the field. Every Monte-Carlo consumer
+draws through ``FieldModel.batches``, which reads the stream ahead: one
+worker thread draws every chunk in replication order, chunk k + 1 while
+the caller's thread finishes chunk k and reduces it. One thread at a
+time reads the stream, so every value is the one a serial draw gives. In
+flight at once are two input blocks and one output block; a chunk holds
+as many replications as fit that sum in ``CHUNK_BYTES`` of float64, and
+at least one. 8 MiB stays about cache-sized through the fill, the
+transform and the reduction, and memory grows neither with the
+replication count nor with the rectangle, beyond one replication.
 
 scipy is imported inside the functions that use it (``dtrmm`` in the
 Gaussian transform, ``ndtr``/``log_ndtr``/``ndtri`` in the normal law), so
@@ -94,7 +93,9 @@ def sub_seed(seed: int, tag: int) -> int:
 # ---------------------------------------------------------------------------
 # innovation / marginal distributions
 #
-# Anything with the scipy frozen-distribution trio (cdf, ppf, rvs) works.
+# Anything with the scipy frozen-distribution trio (cdf, ppf, rvs) works if
+# one rvs call of size (c, *s) gives the values of c calls of size s in turn
+# and leaves the generator in their state, as here and in scipy's uniform().
 # The built-in uniform and normal marginals give the same values as scipy's
 # frozen uniform() and norm() and draw straight from the generator, so the
 # CLI never imports scipy.stats, and their draws load no scipy at all;
@@ -111,9 +112,8 @@ class _UniformMarginal:
     def ppf(self, q):
         return np.asarray(q, dtype=np.float64)
 
-    def rvs(self, size=None, random_state=None):
-        rng = random_state if random_state is not None else np.random.default_rng()
-        return rng.random(size)
+    def rvs(self, size, random_state):
+        return random_state.random(size)
 
 
 class _NormalMarginal:
@@ -134,9 +134,8 @@ class _NormalMarginal:
 
         return ndtri(q)
 
-    def rvs(self, size=None, random_state=None):
-        rng = random_state if random_state is not None else np.random.default_rng()
-        return rng.standard_normal(size)
+    def rvs(self, size, random_state):
+        return random_state.standard_normal(size)
 
 
 @dataclass(frozen=True)
@@ -161,9 +160,8 @@ class TwoAtomInnovations:
         q = np.asarray(q, dtype=np.float64)
         return np.where(q <= self.p_lo, self.lo, self.hi)
 
-    def rvs(self, size=None, random_state=None):
-        rng = random_state if random_state is not None else np.random.default_rng()
-        return np.where(rng.random(size) < self.p_lo, self.lo, self.hi)
+    def rvs(self, size, random_state):
+        return np.where(random_state.random(size) < self.p_lo, self.lo, self.hi)
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +207,10 @@ class FieldModel:
     them into the field (count, *dims) and reads no stream. ``_resolve``
     computes first what ``_finish`` needs and may fail on, so a bad model
     fails before any input is read. ``sample_values`` runs the three on
-    the caller's thread (``_batch``); ``batches`` draws one chunk ahead on
-    a worker thread. Block maxima go through ``nested_maxes``, which reads
-    every rectangle of a grid or curve off one draw of the largest.
+    the caller's thread (``_batch``); ``batches`` draws every chunk on a
+    worker thread, one chunk ahead of the caller. Block maxima go through
+    ``nested_maxes``, which reads every rectangle of a grid or curve off
+    one draw of the largest.
     """
 
     name = "field"
@@ -240,8 +239,8 @@ class FieldModel:
     def batches(self, dims, reps: int, seed: int):
         """Replications 0..reps-1 of ``seed`` in order, as chunks (R, *dims).
 
-        The caller's thread draws chunk 0; then one worker thread draws
-        chunk k + 1 while the caller finishes chunk k and reduces it. The
+        One worker thread draws every chunk, chunk k + 1 while the caller
+        finishes chunk k and reduces it; reps == 0 starts no thread. The
         generator made for this call has one reader at a time, in
         replication order, so the values do not depend on R. R is the
         number of replications whose two input blocks on ``dilated(dims)``
@@ -259,17 +258,15 @@ class FieldModel:
         chunk = max(1, CHUNK_BYTES // per_rep)
         counts = [min(chunk, reps - lo) for lo in range(0, reps, chunk)]
         rng = np.random.default_rng(seed)
-        # ahead holds, per chunk drawn or in flight, a call that returns its
-        # inputs. Chunk 0 is drawn here before the worker starts (at the first
-        # submit), so a one-chunk run starts no thread. Chunk k + 1 is queued
-        # before chunk k is awaited, so the worker starts it without waiting
-        # for the caller.
-        ahead = [[self._draw(dims, rng, count)].pop for count in counts[:1]]
+        # ahead holds the result call of each chunk in flight: chunk k + 1 is
+        # queued before chunk k is awaited, and popped, chunk k's inputs die
+        # with _finish. The worker starts at the first submit.
+        ahead = []
         with ThreadPoolExecutor(1) as worker:
-            for count in counts[1:]:
+            for count in counts:
                 ahead.append(worker.submit(self._draw, dims, rng, count).result)
-                # popped, chunk k's inputs die with _finish
-                yield self._finish(dims, ahead.pop(0)())
+                if len(ahead) == 2:
+                    yield self._finish(dims, ahead.pop(0)())
             if ahead:
                 yield self._finish(dims, ahead.pop()())
 
@@ -319,6 +316,8 @@ class IIDField(FieldModel):
     A draw on ``dims`` fills ``dilated(dims)`` with i.i.d. ``innovations``
     (here the marginal itself), so the block maximum is the max of
     m = prod(dilated(dims)) of them: P(M_dims <= x) = F(x)^m exactly.
+    A chunk of R replications is one ``innovations.rvs`` call on
+    (R, *dilated(dims)): the innovations meet the one-call rule above.
     """
 
     name = "iid"
@@ -327,12 +326,8 @@ class IIDField(FieldModel):
         self.marginal = self.innovations = marginal
 
     def _draw(self, dims, rng, count):
-        """``count`` draws ``innovations.rvs`` on ``dilated(dims)`` in turn, written into one array."""
-        shape = self.dilated(dims)
-        out = np.empty((count,) + shape)
-        for r in range(count):
-            out[r] = self.innovations.rvs(size=shape, random_state=rng)
-        return out
+        """``count`` replications' inputs in one ``innovations.rvs`` call on (count, *dilated(dims))."""
+        return self.innovations.rvs(size=(count,) + self.dilated(dims), random_state=rng)
 
     def exact_block_max_cdf(self, dims, x):
         m = math.prod(self.dilated(dims))

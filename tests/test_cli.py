@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import phantomfields
 from phantomfields.cli import COMMANDS, KINDS, _load_config, main
 
 
@@ -328,6 +329,26 @@ class TestInputErrors:
         assert err.startswith("error: config field 'n_grid' ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["extremal-index", "--out", "{file}"],  # rejected before the command runs
+            ["simulate", "--out", "{file}/sub"],
+            ["beta", "--config", "{dir}", "--out", "{dir}/o"],
+            ["simulate", "--out", "{dir}"],  # results.csv is a directory: an error while writing
+        ],
+    )
+    def test_file_error_is_one_line(self, tmp_path, argv):
+        (tmp_path / "file").write_text("")
+        (tmp_path / "dir" / "results.csv").mkdir(parents=True)
+        argv = [a.format(file=tmp_path / "file", dir=tmp_path / "dir") for a in argv]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(phantomfields.__file__)))
+        proc = subprocess.run([sys.executable, "-m", "phantomfields.cli", *argv], env=env, capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "dir" / "o").exists()
+
     def test_negative_reps_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {"n_grid": [5], "reps": -5})
         assert run(["berman", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -626,8 +647,6 @@ def test_startup_leaves_out_heavy_scipy(tmp_path):
     Each command runs in its own fresh interpreter, because the test session
     has imported all of these already.
     """
-    import phantomfields
-
     # name -> (argv, the scipy submodules the command may and must load)
     runs = {
         "extremal-index": (["extremal-index"], ()),

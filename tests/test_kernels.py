@@ -1,16 +1,36 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from phantomfields import kernels
 
 
 def brute_window_max(a, window):
-    w1, w2 = window
-    out = np.empty((a.shape[0] - w1 + 1, a.shape[1] - w2 + 1))
-    for i in range(out.shape[0]):
-        for j in range(out.shape[1]):
-            out[i, j] = a[i : i + w1, j : j + w2].max()
+    out = np.empty(tuple(n - w + 1 for n, w in zip(a.shape, window)))
+    for k in itertools.product(*map(range, out.shape)):
+        out[k] = a[tuple(slice(i, i + w) for i, w in zip(k, window))].max()
     return out
+
+
+@st.composite
+def arrays_and_windows(draw):
+    shape = draw(st.lists(st.integers(1, 7), min_size=1, max_size=3))
+    window = tuple(draw(st.integers(1, n)) for n in shape)
+    a = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(shape)
+    return a, window
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(arrays_and_windows())
+@example((np.arange(6.0).reshape(2, 3), (1, 1)))  # width-1 windows
+@example((np.arange(6.0)[::-1].reshape(2, 3), (2, 3)))  # each window the full axis
+@example((np.zeros((1, 4, 5)), (1, 4, 1)))
+def test_window_max_matches_brute_force_on_random_shapes(case):
+    a, window = case
+    assert np.array_equal(kernels.window_max(a, window), brute_window_max(a, window))
+    assert np.array_equal(kernels.sliding_max_last(a, window[-1]), brute_window_max(a, (1,) * (a.ndim - 1) + window[-1:]))
 
 
 @pytest.mark.parametrize("window", [(1, 1), (2, 2), (3, 2), (1, 4)])

@@ -429,7 +429,7 @@ def no_submit(*args, **kwargs):
 
 
 class TestReadAhead:
-    """batches draws chunk 0 on the caller's thread, then chunk k + 1 on one worker thread while the caller finishes chunk k."""
+    """batches draws every chunk on one worker thread, chunk k + 1 while the caller finishes chunk k."""
 
     RECTS = TestNestedMaxes.RECTS
     BOX = (7, 4)
@@ -451,8 +451,10 @@ class TestReadAhead:
         maxes = [[x[:, :a, :b].max(axis=(1, 2)) for a, b in rects] for x in serial]
         assert np.array_equal(gauss.nested_maxes(rects, reps, seed=3), np.concatenate(maxes, axis=1))
 
-    def test_error_in_draw_reaches_the_caller_unchanged(self, monkeypatch):
-        model = IIDField(FailingMarginal(after=5))
+    @pytest.mark.parametrize("after", [0, 5])
+    def test_error_in_draw_reaches_the_caller_unchanged(self, after, monkeypatch):
+        # after=0 fails in chunk 0, after=5 in chunk 5 (one rvs call per chunk)
+        model = IIDField(FailingMarginal(after=after))
         chunk_reps(monkeypatch, model, self.BOX, 2)
         before = threading.active_count()
         with pytest.raises(Boom) as err:
@@ -460,14 +462,10 @@ class TestReadAhead:
         assert err.value is model.innovations.error
         assert threading.active_count() == before
 
-    def test_error_in_the_first_chunk_starts_no_worker(self, monkeypatch):
-        # chunk 0 is drawn on the caller's thread, before any submit
-        model = IIDField(FailingMarginal(after=0))
-        chunk_reps(monkeypatch, model, self.BOX, 2)
+    def test_no_replications_start_no_thread(self, gauss, monkeypatch):
         monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "submit", no_submit)
-        with pytest.raises(Boom) as err:
-            model.nested_maxes(self.RECTS, 20, seed=1)
-        assert err.value is model.innovations.error
+        assert list(gauss.batches(self.BOX, 0, seed=1)) == []
+        assert gauss.block_maxes(self.BOX, 0, seed=1).shape == (0,)
 
     @pytest.mark.parametrize("how", ["raise", "close"])
     def test_consumer_that_stops_leaves_no_worker(self, gauss, how, monkeypatch):
@@ -484,11 +482,6 @@ class TestReadAhead:
                     if i == 1:
                         raise Boom
         assert threading.active_count() == before
-
-    def test_one_chunk_run_starts_no_thread(self, gauss, monkeypatch):
-        ref = gauss.block_maxes((4, 4), 10, seed=1)
-        monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "submit", no_submit)
-        assert np.array_equal(gauss.block_maxes((4, 4), 10, seed=1), ref)
 
     @pytest.mark.parametrize("error", [FactorizationError, EmbeddingError])
     def test_bad_axis_fails_before_the_first_draw(self, cov, error, monkeypatch):
@@ -564,6 +557,17 @@ class TestBuiltinMarginals:
                 a = ours.rvs(size=size, random_state=np.random.default_rng(seed))
                 b = theirs.rvs(size=size, random_state=np.random.default_rng(seed))
                 assert np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b, dtype=np.float64).tobytes()
+
+    @pytest.mark.parametrize("law", [_UniformMarginal(), _NormalMarginal(), TwoAtomInnovations(p_lo=0.3), uniform()])
+    def test_one_call_is_the_calls_in_turn(self, law):
+        # IIDField._draw reads a chunk in one rvs call on (count, *shape):
+        # the values and the generator state after it are those of count calls
+        for count, shape in [(1, (3,)), (4, (2, 3)), (3, (1, 1, 5))]:
+            one, turns = np.random.default_rng(5), np.random.default_rng(5)
+            a = law.rvs(size=(count,) + shape, random_state=one)
+            b = np.stack([law.rvs(size=shape, random_state=turns) for _ in range(count)])
+            assert a.dtype == np.float64 and a.tobytes() == b.tobytes()
+            assert one.bit_generator.state == turns.bit_generator.state
 
     @pytest.mark.parametrize("ours, theirs", MARGINAL_PAIRS)
     def test_cdf_and_ppf_equal(self, ours, theirs):
