@@ -64,7 +64,7 @@ KINDS = {
 }
 REQUIRED_FIELDS = {"table"}
 # string fields that name one of a few values
-CHOICES = {"marginal": ("uniform", "normal")}
+CHOICES = {"marginal": ("uniform", "normal"), "mode": ("auto", "exact", "mc")}
 # fields whose null is meaningful: beta's level and extremal-index's expected_theta
 NULLABLE_FIELDS = {"level", "expected_theta"}
 # the tolerances a verdict compares against: a negative one fails every verdict
@@ -385,7 +385,8 @@ def cmd_beta(cfg: dict, out: str):
     curve = _curve_from_config(cfg["curve"])
     n, k, T = cfg["n"], cfg["k"], cfg["T"]
     bound = diagnostics.constraint_box(curve, T, n)
-    # every split array is built before a level is drawn, so a bad k fails at once
+    # the mode is checked, and every split array built, before a level is drawn: a bad mode or k fails at once
+    mode = diagnostics.beta_mode(model, bound, cfg["mode"], cfg["reps"])
     build = diagnostics.exhaustive_splits if cfg["exhaustive"] else diagnostics.quarter_grid_splits
     splits = {j: build(bound, j) for j in sorted({2, k})}
     level = cfg["level"]
@@ -398,7 +399,7 @@ def cmd_beta(cfg: dict, out: str):
 
     def estimate(k):
         return diagnostics.beta_k_estimate(
-            model, curve, level, T, n, k=k, splits=splits[k], reps=cfg["reps"], seed=cfg["seed"], mode=cfg["mode"]
+            model, curve, level, T, n, k=k, splits=splits[k], reps=cfg["reps"], seed=cfg["seed"], mode=mode
         )
 
     rep = estimate(k)

@@ -10,7 +10,8 @@ block-max laws) can take the full finite split set.
 
 S splits into k parts of a box in N^d are one integer array (S, k, d),
 entry [s, i, j] coordinate j of part i of split s. The functional takes
-one float level and reads each sub-block of all S splits at once.
+one float level and reads each sub-block of all S splits at once off one
+table, filled by one call of the exact law, ``nested_maxes`` or enumeration.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from . import kernels
 from .covariance import SeparableCovariance, delta_sup
 from .lattice import MonotoneCurve
-from .sampling import MovingMaxField, TwoAtomInnovations, _corner_maxes, _NormalMarginal
+from .sampling import MovingMaxField, TwoAtomInnovations, _NormalMarginal
 
 
 def _fitting_tuples(pts: np.ndarray, k: int, bound) -> np.ndarray:
@@ -56,40 +57,37 @@ def exhaustive_splits(bound, k: int = 2) -> np.ndarray:
     return np.stack([c[i] for c, i in zip(per_axis, pick)], axis=2)
 
 
-def _padded(table) -> np.ndarray:
-    """``table`` behind a leading layer of ones: [dims] reads table[dims - 1], and 1 on an empty block."""
-    return np.pad(table, [(1, 0)] * np.ndim(table), constant_values=1.0)
+def _block_probabilities(model, level: float, mode: str, reps: int = 0, seed: int = 0):
+    """rects -> P(M_rect <= level) at nonempty rectangles ``rects`` (P, d), shape (P,): the exact law, or MC.
 
-
-def _block_probabilities(model, bound, level: float, mode: str, reps: int = 0, seed: int = 0):
-    """dims -> P(M_dims <= level) at d index arrays ``dims`` into the box ``bound``, exact or MC.
-
-    Exact mode evaluates the model's law at those arrays alone. MC mode
-    draws the full box once per replication and reads M over every
-    anchored sub-block (every point of the box) off it through
-    ``_corner_maxes``, so all estimates come from the same seeded
-    replications. Each chunk adds its integer counts, so memory does not
-    grow with ``reps``.
+    MC mode draws ``reps`` replications of ``seed`` once, on the largest
+    rectangle, and reads every rectangle off that draw (``nested_maxes``).
     """
     if mode == "exact":
         # float dims: the law's exponent prod(dims) may pass the int64 range
-        law = lambda dims: model.exact_block_max_cdf(np.asarray(dims, dtype=np.float64), level)
-        return lambda dims: np.where(np.min(dims, axis=0) == 0, 1.0, law(dims))
-    bound = tuple(int(b) for b in bound)
-    pts = (np.indices(bound) + 1).reshape(len(bound), -1).T
-    # map drops each chunk before it finishes the next: one output block alive at a time
-    below = map(lambda x: (_corner_maxes(x, pts) <= level).sum(axis=1), model.batches(bound, reps, seed))
-    counts = sum(below, np.zeros(len(pts), dtype=np.int64)).reshape(bound)
-    return _padded(counts / reps).__getitem__
+        return lambda rects: model.exact_block_max_cdf(rects.T.astype(np.float64), level)
+    return lambda rects: (model.nested_maxes(rects, reps, seed) <= level).mean(axis=1)
 
 
 def _beta_over(prob, splits: np.ndarray):
-    """(max, first argmax) over ``splits`` of |P(total) - product over the k^d sub-blocks|."""
+    """(max, first argmax) over ``splits`` of |P(total) - product over the k^d sub-blocks|.
+
+    One table over the box marks every sub-block and total the splits read
+    with 1; ``prob`` (P, d) -> (P,) fills the distinct nonempty ones in one
+    call, if any, so an empty block keeps its 1.
+    """
     _, k, d = splits.shape
+    blocks = [tuple(splits[:, i, j] for j, i in enumerate(idx)) for idx in itertools.product(range(k), repeat=d)]
+    total = tuple(splits.sum(axis=1).T)
+    table = np.zeros([t.max() + 1 for t in total])
+    for block in blocks + [total]:
+        table[block] = 1.0
+    rects = np.argwhere(table[(slice(1, None),) * d]) + 1
+    table[tuple(rects.T)] = prob(rects) if len(rects) else 1.0
     prod = np.ones(len(splits))
-    for idx in itertools.product(range(k), repeat=d):
-        prod = prod * prob(tuple(splits[:, i, j] for j, i in enumerate(idx)))
-    vals = np.abs(prob(tuple(splits.sum(axis=1).T)) - prod)
+    for block in blocks:
+        prod = prod * table[block]
+    vals = np.abs(table[total] - prod)
     s = int(np.argmax(vals))
     return float(vals[s]), splits[s].tolist()
 
@@ -135,6 +133,21 @@ def constraint_box(psi: MonotoneCurve, T: float, n: int) -> tuple[int, ...]:
     return bound
 
 
+def beta_mode(model, bound, mode: str, reps: int) -> str:
+    """``mode`` checked for ``model`` on ``bound``, "auto" resolved: exact where the model has a closed-form law."""
+    if mode not in ("auto", "exact", "mc"):
+        raise ValueError(f"mode must be auto, exact or mc, got {mode!r}")
+    # whether the law exists does not depend on the level it is read at
+    has_exact = model.exact_block_max_cdf(bound, 0.0) is not None
+    if mode == "exact" and not has_exact:
+        raise ValueError(f"model {model.name} has no exact block-max law")
+    if mode == "auto":
+        mode = "exact" if has_exact else "mc"
+    if mode == "mc" and reps < 1:
+        raise ValueError(f"mc mode needs reps >= 1, got {reps}")
+    return mode
+
+
 def beta_k_estimate(
     model,
     psi: MonotoneCurve,
@@ -149,7 +162,7 @@ def beta_k_estimate(
 ) -> BetaReport:
     """Max over splits of |P(M_total <= level) - prod over k^d sub-blocks|.
 
-    The constraint box is floor(T * psi(n)); ``splits`` is an (S, k, d)
+    The constraint box is floor(T * psi(n)); ``splits`` is an integer (S, k, d)
     array of parts in it, the quarter grid by default. mode "exact"
     requires a model with a closed-form block-max law; "auto" picks
     exact when available. The reported value is a lower bound for the
@@ -157,18 +170,10 @@ def beta_k_estimate(
     """
     level = float(level)
     bound = constraint_box(psi, T, n)
-    if mode not in ("auto", "exact", "mc"):
-        raise ValueError(f"mode must be auto, exact or mc, got {mode!r}")
-    has_exact = model.exact_block_max_cdf(bound, level) is not None
-    if mode == "exact" and not has_exact:
-        raise ValueError(f"model {model.name} has no exact block-max law")
-    if mode == "auto":
-        mode = "exact" if has_exact else "mc"
-    if mode == "mc" and reps < 1:
-        raise ValueError(f"mc mode needs reps >= 1, got {reps}")
+    mode = beta_mode(model, bound, mode, reps)
     splits = quarter_grid_splits(bound, k) if splits is None else np.asarray(splits)
-    if splits.ndim != 3 or splits.shape[1:] != (k, len(bound)) or len(splits) == 0:
-        raise ValueError(f"splits must be a nonempty (S, {k}, {len(bound)}) array, got shape {splits.shape}")
+    if splits.ndim != 3 or splits.shape[1:] != (k, len(bound)) or len(splits) == 0 or splits.dtype.kind not in "iu":
+        raise ValueError(f"splits must be a nonempty integer (S, {k}, {len(bound)}) array, got {splits.dtype} {splits.shape}")
     # a negative part would read a table from its far end
     negative = (splits < 0).any(axis=(1, 2))
     if negative.any():
@@ -176,8 +181,7 @@ def beta_k_estimate(
     over = (splits.sum(axis=1) > bound).any(axis=1)
     if over.any():
         raise ValueError(f"split {splits[np.argmax(over)].tolist()} exceeds the constraint box {bound}")
-    prob = _block_probabilities(model, bound, level, mode, reps=reps, seed=seed)
-    best, arg = _beta_over(prob, splits)
+    best, arg = _beta_over(_block_probabilities(model, level, mode, reps=reps, seed=seed), splits)
     # worst-case standard error of a single estimated probability
     se = None if mode == "exact" else math.sqrt(0.25 / reps)
     return BetaReport(
@@ -195,7 +199,7 @@ def beta_k_estimate(
 
 
 def _enumerated(model, bound, level: float) -> np.ndarray:
-    """P(M_dims <= level) at [dims] for the sub-blocks of ``bound``, by enumeration, padded.
+    """P(M_dims <= level) at [dims - 1] for the sub-blocks of ``bound``, by enumeration.
 
     Only for 2-d moving-max models with two-atom innovations and at most
     25 innovation sites; independent of the dilation-counting closed form.
@@ -206,17 +210,18 @@ def _enumerated(model, bound, level: float) -> np.ndarray:
         raise ValueError("enumeration oracle is 2-d only")
     innov = model.innovations
     bound = tuple(int(b) for b in bound)
-    return _padded(kernels.enum_block_cdf_table(bound, model.window, innov.lo, innov.hi, innov.p_lo, level))
+    return kernels.enum_block_cdf_table(bound, model.window, innov.lo, innov.hi, innov.p_lo, level)
 
 
 def enumeration_block_cdf(model, dims, level: float) -> float:
     """P(M_dims <= level) by exhaustive enumeration of innovation configs."""
-    return float(_enumerated(model, dims, level)[tuple(int(x) for x in dims)])
+    return float(_enumerated(model, dims, level)[-1, -1])
 
 
 def enumeration_beta(model, bound, level: float, k: int = 2) -> float:
     """beta over the FULL admissible split set with enumerated probabilities."""
-    return _beta_over(_enumerated(model, bound, level).__getitem__, exhaustive_splits(bound, k))[0]
+    table = _enumerated(model, bound, level)
+    return _beta_over(lambda rects: table[tuple((rects - 1).T)], exhaustive_splits(bound, k))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -136,16 +136,28 @@ class TestOthers:
         assert capsys.readouterr().err == "error: k must be >= 2\n"
 
     def test_beta_k_checked_before_the_level_is_drawn(self, tmp_path, capsys, monkeypatch):
-        # the Gaussian model has no exact law, so a null level is a Monte-Carlo draw
+        # the Gaussian model has no exact law, so a null level is a Monte-Carlo draw;
+        # a bad mode fails before the exhaustive split array of (60, 60) is built, too
+        from phantomfields import diagnostics
         from phantomfields.sampling import FieldModel
 
         def no_draws(*args):
-            raise AssertionError("drew before checking k")
+            raise AssertionError("drew before checking the config")
 
+        built, build = [], diagnostics.exhaustive_splits
         monkeypatch.setattr(FieldModel, "batches", no_draws)
-        cfg = write_cfg(tmp_path, {"model": {"kind": "gaussian_separable"}, "level": None, "k": 0, "n": 60})
-        assert run(["beta", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-        assert capsys.readouterr().err == "error: k must be >= 2\n"
+        monkeypatch.setattr(diagnostics, "exhaustive_splits", lambda *a: built.append(a) or build(*a))
+        cases = [
+            ({"k": 0}, "k must be >= 2", 1),
+            ({"mode": "fast"}, 'config field \'mode\' must be one of auto, exact, mc, got "fast"', 0),
+            ({"mode": "exact"}, "model gaussian_separable has no exact block-max law", 0),
+        ]
+        for extra, error, builds in cases:
+            built.clear()
+            cfg = write_cfg(tmp_path, {"model": {"kind": "gaussian_separable"}, "level": None, "n": 60, **extra})
+            assert run(["beta", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+            assert capsys.readouterr().err == f"error: {error}\n"
+            assert len(built) == builds
 
     def test_beta_k3_growth_verdict(self, tmp_path):
         cfg = write_cfg(tmp_path, {"k": 3})
@@ -393,7 +405,7 @@ class TestInputErrors:
     @pytest.mark.parametrize(
         "command, payload, allowed",
         [
-            ("beta", {"mode": "bogus"}, "auto, exact or mc"),
+            ("beta", {"mode": "bogus"}, "auto, exact, mc"),
             ("beta", {"model": {"kind": "gaussian_separable"}, "mode": "exact"}, "no exact block-max law"),
             ("simulate", {"model": {"kind": "iid", "marginal": "cauchy"}}, "uniform, normal"),
             ("beta", {"model": {"kind": "moving_max", "innovations": {"kind": "gamma"}}}, "uniform, two_atom"),

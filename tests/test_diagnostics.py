@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -24,7 +25,8 @@ from phantomfields import (
 )
 from phantomfields import kernels, sampling
 from phantomfields.covariance import SeparableCovariance
-from phantomfields.diagnostics import _block_probabilities
+from phantomfields.diagnostics import _beta_over, _block_probabilities
+from phantomfields.lattice import curve_from_table
 
 
 @pytest.fixture(scope="module")
@@ -61,8 +63,22 @@ class TestSplitGrids:
                 beta_k_estimate(two_atom_model, curve_diagonal(2), 0.5, T=1.0, n=3, splits=bad)
 
     @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_non_integer_splits_rejected(self, two_atom_model, mode):
+        # a fractional part has no block: exact mode read a law at it, mc mode an index
+        bad = [[[1.5, 1.5], [1.5, 1.5]]]
+        with pytest.raises(ValueError, match="integer"):
+            beta_k_estimate(two_atom_model, curve_diagonal(2), 0.5, T=1.0, n=3, splits=bad, reps=50, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_splits_that_read_only_empty_blocks(self, two_atom_model, mode):
+        # parts (0, 1) and (0, 2): every sub-block and the total (0, 3) are empty, so no probability is read
+        splits = [[[0, 1], [0, 2]]]
+        rep = beta_k_estimate(two_atom_model, curve_diagonal(2), 0.5, T=1.0, n=3, splits=splits, reps=50, mode=mode)
+        assert rep.value == 0.0
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
     def test_negative_part_rejected(self, two_atom_model, mode):
-        # -1 would read the far end of the padded table: beta 1.0 in mc mode
+        # -1 would read the table from its far end
         bad = np.array([[[-1, 0], [1, 3]]])
         with pytest.raises(ValueError, match="negative part"):
             beta_k_estimate(two_atom_model, curve_diagonal(2), 0.5, T=1.0, n=3, splits=bad, reps=50, mode=mode)
@@ -81,19 +97,20 @@ class TestBetaExact:
         assert rep.value <= 1e-12
 
     def test_empty_blocks_contribute_one(self, two_atom_model):
-        probs = _block_probabilities(two_atom_model, (3, 3), 0.5, "exact")
-        assert probs((0, 3)) == 1.0
-        assert probs((0, 0)) == 1.0
+        # parts (0, 3) and (3, 0): sub-blocks (0, 3), (0, 0) and (3, 0) are empty, (3, 3) is the total
+        probs = _block_probabilities(two_atom_model, 0.5, "exact")
+        seen = []
+        spy = lambda rects: seen.append(rects.tolist()) or probs(rects)
+        assert _beta_over(spy, np.array([[[0, 3], [3, 0]]])) == (0.0, [[0, 3], [3, 0]])
+        # the empty blocks are never asked for: they read 1
+        assert seen == [[[3, 3]]]
 
     def test_zero_part_reduces_to_fewer_blocks(self, two_atom_model):
         # with p = 0 the product collapses to the q block alone
-        probs = _block_probabilities(two_atom_model, (3, 3), 0.5, "exact")
-        parts = ((0, 0), (3, 3))
-        prod = 1.0
-        for i1 in range(2):
-            for i2 in range(2):
-                prod *= probs((parts[i1][0], parts[i2][1]))
-        assert prod == probs((3, 3))
+        probs = _block_probabilities(two_atom_model, 0.5, "exact")
+        parts = np.array([[[0, 0], [3, 3]]])
+        assert probs(np.array([[3, 3]]))[0] < 1.0
+        assert _beta_over(probs, parts) == (0.0, parts[0].tolist())
 
     def test_k2_exact_equals_enumeration(self, two_atom_model):
         splits = exhaustive_splits((3, 3), k=2)
@@ -117,8 +134,8 @@ class TestBlockProbabilitiesMC:
     def test_table_matches_per_replication_loop(self, two_atom_model, kind, monkeypatch):
         model = two_atom_model if kind == "moving_max" else GaussianSeparableField(example_covariance())
         bound, level, reps, seed = (3, 4), 0.5, 600, 9
-        # 600 reps span 86 chunks of 7, the last one ragged
-        monkeypatch.setattr(sampling, "CHUNK_BYTES", 7 * 8 * math.prod(model.dilated(bound)))
+        # 600 reps span 86 chunks of 7, the last one ragged: a replication holds two input blocks and one output
+        monkeypatch.setattr(sampling, "CHUNK_BYTES", 7 * 8 * (2 * math.prod(model.dilated(bound)) + math.prod(bound)))
         counts = np.zeros(bound, dtype=np.int64)
         rng = np.random.default_rng(seed)
         for r in range(reps):
@@ -127,11 +144,12 @@ class TestBlockProbabilitiesMC:
                 m = np.maximum.accumulate(m, axis=ax)
             counts += m <= level
         ref = counts / reps
-        probs = _block_probabilities(model, bound, level, "mc", reps=reps, seed=seed)
-        for a in range(1, bound[0] + 1):
-            for b in range(1, bound[1] + 1):
-                assert probs((a, b)) == ref[a - 1, b - 1]
-        assert probs((0, 2)) == 1.0
+        probs = _block_probabilities(model, level, "mc", reps=reps, seed=seed)
+        # every rectangle of the box, row-major: bit for bit the loop's table
+        assert probs(np.argwhere(np.ones(bound)) + 1).tolist() == ref.ravel().tolist()
+        # parts (0, 2) and (3, 2) read the empty block (0, 2) twice, (3, 2) twice and the total (3, 4)
+        value, _ = _beta_over(probs, np.array([[[0, 2], [3, 2]]]))
+        assert value == abs(ref[2, 3] - ref[2, 1] * ref[2, 1])
 
 
 # The per-split reference: splits as tuples of parts, built and scanned one at a time.
@@ -178,27 +196,45 @@ class TestAgainstSplitLoop:
     @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("mode", ["exact", "mc"])
     def test_beta_equals_the_loop(self, mode, k, level):
-        # at 0.99, splits tie up to rounding, so a changed product order moves the argmax
+        # at 0.99, splits tie up to rounding, so a changed product order moves the argmax;
+        # the quarter grid of (8, 5) reads a strict subset of the box
         model = MovingMaxField((2, 2), uniform())
-        bound, reps, seed = (3, 3), 300, 5
-        if mode == "exact":
-            prob = lambda dims: 1.0 if 0 in dims else float(model.exact_block_max_cdf(dims, level))
-        else:
-            counts = np.zeros(bound, dtype=np.int64)
-            rng = np.random.default_rng(seed)
-            for _ in range(reps):
-                m = model.sample_values(bound, rng)
-                for ax in range(len(bound)):
-                    m = np.maximum.accumulate(m, axis=ax)
-                counts += m <= level
-            prob = _table_reader(counts / reps)
-        for splits in (_tuple_exhaustive(bound, k), _tuple_quarter_grid(bound, k)):
-            rep = beta_k_estimate(
-                model, curve_diagonal(2), level, T=1.0, n=3, k=k, splits=np.array(splits), reps=reps, seed=seed,
-                mode=mode,
-            )
-            value, argmax = _loop_beta(prob, splits)
-            assert rep.value == value and rep.argmax == [list(p) for p in argmax]
+        reps, seed = 300, 5
+        for bound in ((3, 3), (8, 5)):
+            if mode == "exact":
+                prob = functools.cache(lambda dims: 1.0 if 0 in dims else float(model.exact_block_max_cdf(dims, level)))
+            else:
+                counts = np.zeros(bound, dtype=np.int64)
+                rng = np.random.default_rng(seed)
+                for _ in range(reps):
+                    m = model.sample_values(bound, rng)
+                    for ax in range(len(bound)):
+                        m = np.maximum.accumulate(m, axis=ax)
+                    counts += m <= level
+                prob = _table_reader(counts / reps)
+            for splits in (_tuple_exhaustive(bound, k), _tuple_quarter_grid(bound, k)):
+                rep = beta_k_estimate(
+                    model, curve_from_table([bound]), level, T=1.0, n=1, k=k, splits=np.array(splits), reps=reps,
+                    seed=seed, mode=mode,
+                )
+                value, argmax = _loop_beta(prob, splits)
+                assert rep.value == value and rep.argmax == [list(p) for p in argmax]
+
+    def test_mc_draws_the_rectangles_the_splits_read_once(self, monkeypatch):
+        model = GaussianSeparableField(example_covariance())
+        bound, splits = (8, 5), _tuple_quarter_grid((8, 5), 2)
+        read = set()
+        for parts in splits:
+            read.add(tuple(map(sum, zip(*parts))))
+            read.update(itertools.product(*zip(*parts)))
+        expected = sorted(r for r in read if 0 not in r)
+        calls = []
+        nested_maxes = sampling.FieldModel.nested_maxes
+        spy = lambda self, rects, reps, seed: calls.append(rects.tolist()) or nested_maxes(self, rects, reps, seed)
+        monkeypatch.setattr(sampling.FieldModel, "nested_maxes", spy)
+        beta_k_estimate(model, curve_from_table([bound]), 0.5, T=1.0, n=1, splits=np.array(splits), reps=20, mode="mc")
+        assert len(expected) < math.prod(bound)
+        assert calls == [[list(r) for r in expected]]
 
     @pytest.mark.parametrize("level", [-0.5, 0.5, 1.5])
     @pytest.mark.parametrize("k", [2, 3])
