@@ -64,7 +64,7 @@ KINDS = {
 }
 REQUIRED_FIELDS = {"table"}
 # string fields that name one of a few values
-CHOICES = {"marginal": ("uniform", "normal"), "mode": ("auto", "exact", "mc")}
+CHOICES = {"marginal": ("uniform", "normal")}
 # fields whose null is meaningful: beta's level and extremal-index's expected_theta
 NULLABLE_FIELDS = {"level", "expected_theta"}
 # the tolerances a verdict compares against: a negative one fails every verdict

@@ -11,7 +11,8 @@ block-max laws) can take the full finite split set.
 S splits into k parts of a box in N^d are one integer array (S, k, d),
 entry [s, i, j] coordinate j of part i of split s. The functional takes
 one float level and reads each sub-block of all S splits at once off one
-table, filled by one call of the exact law, ``nested_maxes`` or enumeration.
+table, over the lengths they read on each axis, filled by one call of the
+exact law, the chunked nested maxima (``nested_max_chunks``) or enumeration.
 """
 
 from __future__ import annotations
@@ -61,33 +62,52 @@ def _block_probabilities(model, level: float, mode: str, reps: int = 0, seed: in
     """rects -> P(M_rect <= level) at nonempty rectangles ``rects`` (P, d), shape (P,): the exact law, or MC.
 
     MC mode draws ``reps`` replications of ``seed`` once, on the largest
-    rectangle, and reads every rectangle off that draw (``nested_maxes``).
+    rectangle, and counts each rectangle's maxima below the level chunk
+    by chunk (``nested_max_chunks``), so memory does not grow with ``reps``.
     """
     if mode == "exact":
         # float dims: the law's exponent prod(dims) may pass the int64 range
         return lambda rects: model.exact_block_max_cdf(rects.T.astype(np.float64), level)
-    return lambda rects: (model.nested_maxes(rects, reps, seed) <= level).mean(axis=1)
+    # map drops each chunk's maxima before the next chunk is reduced
+    below = lambda part: (part <= level).sum(axis=1)
+    return lambda rects: sum(map(below, model.nested_max_chunks(rects, reps, seed))) / reps
+
+
+def _read_lengths(parts: np.ndarray):
+    """One axis of ``_beta_over``'s table: the lengths that the parts (S, k) and their totals read,
+    0 first and sorted, and the place of every length up to the largest among them."""
+    total = parts.sum(axis=1)
+    read = np.zeros(total.max() + 1, dtype=bool)
+    read[0] = read[parts] = read[total] = True
+    return np.flatnonzero(read), np.cumsum(read) - 1
 
 
 def _beta_over(prob, splits: np.ndarray):
     """(max, first argmax) over ``splits`` of |P(total) - product over the k^d sub-blocks|.
 
-    One table over the box marks every sub-block and total the splits read
-    with 1; ``prob`` (P, d) -> (P,) fills the distinct nonempty ones in one
-    call, if any, so an empty block keeps its 1.
+    One table holds a cell for each combination of the lengths read on
+    each axis; it marks every sub-block and total the splits read with 1,
+    and ``prob`` (P, d) -> (P,) fills the distinct nonempty ones in one
+    call, if any, so an empty block keeps its 1. Its size depends on the
+    lengths the splits read, not on the box.
     """
     _, k, d = splits.shape
     blocks = [tuple(splits[:, i, j] for j, i in enumerate(idx)) for idx in itertools.product(range(k), repeat=d)]
-    total = tuple(splits.sum(axis=1).T)
-    table = np.zeros([t.max() + 1 for t in total])
-    for block in blocks + [total]:
-        table[block] = 1.0
-    rects = np.argwhere(table[(slice(1, None),) * d]) + 1
-    table[tuple(rects.T)] = prob(rects) if len(rects) else 1.0
+    # the totals, one axis at a time where read: no (S, d) array is held while prob draws
+    total = lambda: (splits[:, :, j].sum(axis=1) for j in range(d))
+    lengths, cell = zip(*(_read_lengths(splits[:, :, j]) for j in range(d)))
+    at = lambda block: tuple(c[b] for c, b in zip(cell, block))
+    table = np.zeros([len(lens) for lens in lengths])
+    for block in blocks:
+        table[at(block)] = 1.0
+    table[at(total())] = 1.0
+    idx = np.argwhere(table[(slice(1, None),) * d]) + 1
+    if len(idx):
+        table[tuple(idx.T)] = prob(np.stack([lens[i] for lens, i in zip(lengths, idx.T)], axis=1))
     prod = np.ones(len(splits))
     for block in blocks:
-        prod = prod * table[block]
-    vals = np.abs(table[total] - prod)
+        prod *= table[at(block)]
+    vals = np.abs(table[at(total())] - prod)
     s = int(np.argmax(vals))
     return float(vals[s]), splits[s].tolist()
 

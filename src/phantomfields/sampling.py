@@ -292,18 +292,28 @@ class FieldModel:
         (``_corner_maxes``): a replication costs one pass over the box plus
         one step per distinct length on each axis, however many rectangles.
         """
-        rects = [_rectangle(r) for r in rects]
-        if not rects or len({len(r) for r in rects}) != 1:
-            raise ValueError("rects must be a nonempty list of rectangles of one dimension")
-        rects = np.array(rects)
+        parts = self.nested_max_chunks(rects, reps, seed)
         out = np.empty((len(rects), reps))
         lo = 0
-        # map drops each chunk, and del each chunk's maxima, before the next chunk is reduced
-        for part in map(lambda x: _corner_maxes(x, rects), self.batches(tuple(rects.max(axis=0)), reps, seed)):
+        # del each chunk's maxima before the next chunk is reduced
+        for part in parts:
             out[:, lo : lo + part.shape[1]] = part
             lo += part.shape[1]
             del part
         return out
+
+    def nested_max_chunks(self, rects, reps: int, seed: int):
+        """``nested_maxes`` one chunk at a time: its column blocks (len(rects), R), in replication order.
+
+        A reader that keeps only a summary of each block holds one chunk
+        at a time, however large ``reps``.
+        """
+        rects = [_rectangle(r) for r in rects]
+        if not rects or len({len(r) for r in rects}) != 1:
+            raise ValueError("rects must be a nonempty list of rectangles of one dimension")
+        rects = np.array(rects)
+        # map drops each chunk before the next one is reduced
+        return map(lambda x: _corner_maxes(x, rects), self.batches(tuple(rects.max(axis=0)), reps, seed))
 
     def block_maxes(self, dims, reps: int, seed: int) -> np.ndarray:
         """reps independent draws of M_dims: ``nested_maxes`` on one rectangle."""

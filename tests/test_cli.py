@@ -149,7 +149,7 @@ class TestOthers:
         monkeypatch.setattr(diagnostics, "exhaustive_splits", lambda *a: built.append(a) or build(*a))
         cases = [
             ({"k": 0}, "k must be >= 2", 1),
-            ({"mode": "fast"}, 'config field \'mode\' must be one of auto, exact, mc, got "fast"', 0),
+            ({"mode": "fast"}, "mode must be auto, exact or mc, got 'fast'", 0),
             ({"mode": "exact"}, "model gaussian_separable has no exact block-max law", 0),
         ]
         for extra, error, builds in cases:
@@ -405,7 +405,7 @@ class TestInputErrors:
     @pytest.mark.parametrize(
         "command, payload, allowed",
         [
-            ("beta", {"mode": "bogus"}, "auto, exact, mc"),
+            ("beta", {"mode": "bogus"}, "auto, exact or mc"),
             ("beta", {"model": {"kind": "gaussian_separable"}, "mode": "exact"}, "no exact block-max law"),
             ("simulate", {"model": {"kind": "iid", "marginal": "cauchy"}}, "uniform, normal"),
             ("beta", {"model": {"kind": "moving_max", "innovations": {"kind": "gamma"}}}, "uniform, two_atom"),

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,6 +152,20 @@ class TestBlockProbabilitiesMC:
         value, _ = _beta_over(probs, np.array([[[0, 2], [3, 2]]]))
         assert value == abs(ref[2, 3] - ref[2, 1] * ref[2, 1])
 
+    def test_memory_does_not_grow_with_reps(self, two_atom_model, monkeypatch):
+        # every point of a (20, 20) box over 3000 replications is 9.6 MB of maxima; chunks of 25 are read
+        monkeypatch.setattr(sampling, "CHUNK_BYTES", 1 << 18)
+        rects = np.argwhere(np.ones((20, 20))) + 1
+        _block_probabilities(two_atom_model, 0.5, "mc", reps=30, seed=1)(rects)  # first-call allocations
+        probs = _block_probabilities(two_atom_model, 0.5, "mc", reps=3000, seed=1)
+        tracemalloc.start()
+        try:
+            probs(rects)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * len(rects) * 3000 / 8
+
 
 # The per-split reference: splits as tuples of parts, built and scanned one at a time.
 
@@ -229,12 +244,24 @@ class TestAgainstSplitLoop:
             read.update(itertools.product(*zip(*parts)))
         expected = sorted(r for r in read if 0 not in r)
         calls = []
-        nested_maxes = sampling.FieldModel.nested_maxes
-        spy = lambda self, rects, reps, seed: calls.append(rects.tolist()) or nested_maxes(self, rects, reps, seed)
-        monkeypatch.setattr(sampling.FieldModel, "nested_maxes", spy)
+        chunks = sampling.FieldModel.nested_max_chunks
+        spy = lambda self, rects, reps, seed: calls.append(rects.tolist()) or chunks(self, rects, reps, seed)
+        monkeypatch.setattr(sampling.FieldModel, "nested_max_chunks", spy)
         beta_k_estimate(model, curve_from_table([bound]), 0.5, T=1.0, n=1, splits=np.array(splits), reps=20, mode="mc")
         assert len(expected) < math.prod(bound)
         assert calls == [[list(r) for r in expected]]
+
+    def test_exact_table_does_not_grow_with_the_box(self):
+        # a quarter grid at diagonal n = 10^5 reads 5 lengths per axis; a table over the
+        # box would hold 10^10 cells. At this level the block probabilities are near e^-1.
+        model, level = MovingMaxField((2, 2), uniform()), 1.0 - 1e-10
+        prob = functools.cache(lambda dims: 1.0 if 0 in dims else float(model.exact_block_max_cdf(dims, level)))
+        splits = _tuple_quarter_grid((100000, 100000), 2)
+        rep = beta_k_estimate(model, curve_diagonal(2), level, T=1.0, n=100000, mode="exact")
+        value, argmax = _loop_beta(prob, splits)
+        assert 0.0 < prob((100000, 100000)) < 1.0
+        assert rep.grid_size == len(splits)
+        assert rep.value == value and rep.argmax == [list(p) for p in argmax]
 
     @pytest.mark.parametrize("level", [-0.5, 0.5, 1.5])
     @pytest.mark.parametrize("k", [2, 3])
