@@ -391,7 +391,7 @@ def cmd_beta(cfg: dict, out: str):
     splits = {j: build(bound, j) for j in sorted({2, k})}
     level = cfg["level"]
     if level is None:
-        # the gamma-level of M_psi(n): exact, or off estimate_level_sequence's draws at horizon n
+        # the gamma-level of M_psi(n): exact, or the empirical gamma-quantile of its block maxima on sub_seed(seed, n)
         level = model.exact_block_level(curve(n), cfg["gamma"])
         if level is None:
             maxes = model.block_maxes(curve(n), cfg["reps"], _sub_seed(cfg["seed"], n))

@@ -454,7 +454,7 @@ def estimate_extremal_index(model, dims, gamma_in: float = math.exp(-1.0)) -> In
     # = n* d / ln gamma_in, so an i.i.d. model (theta = 1) lands above 1 for about half
     # of all n. |d| is a few eps, but the normal's lower tail magnifies F^-1's error by
     # v^2 ~ 2 |ln gamma_in| / n*, adding a few eps to theta. The largest excess measured
-    # (built-in marginals, gamma_in >= 1e-300, n <= 3000) is half of the margin.
+    # (built-in marginals, gamma_in >= 1e-300, n <= 3000) is 0.50 of the margin, at n = 1.
     slack = 8.0 * np.finfo(np.float64).eps * (n_star / abs(math.log(gamma_in)) + 1.0)
     rounding = gamma_in ** (1.0 + slack) <= g_or < gamma_in  # so a gamma_or of 0 skips the log
     return IndexEstimate(

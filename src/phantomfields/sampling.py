@@ -28,11 +28,15 @@ at least one. 8 MiB stays about cache-sized through the fill, the
 transform and the reduction, and memory grows neither with the
 replication count nor with the rectangle, beyond one replication.
 
-scipy is imported inside the functions that use it (``dtrmm`` in the
-Gaussian transform, ``ndtr``/``log_ndtr``/``ndtri`` in the normal law), so
-importing the package loads none of it; the circulant axes use
-``numpy.fft``, never ``scipy.fft``. ``batches`` imports ``concurrent.futures``
-when it runs.
+scipy is loaded by one call only: the ``dtrmm`` of a Gaussian chunk whose
+Schur products take at least ``TRMM_MIN_MADDS`` multiply-adds, where the
+triangular product halves the work of ``numpy.matmul``. A smaller chunk
+(one default ``simulate`` field) multiplies through numpy, since importing
+``scipy.linalg`` costs far more than the product. The normal law comes from
+the standard library (``math.erfc``, ``statistics.NormalDist``), and the
+circulant axes use ``numpy.fft``, never ``scipy.fft``, so importing the
+package loads no scipy. ``batches`` imports ``concurrent.futures`` when it
+runs.
 """
 
 from __future__ import annotations
@@ -50,7 +54,13 @@ CHUNK_BYTES = 8 << 20
 # embedding, a shorter one through its Schur factor: with twice the normals
 # to fill, the FFT line overtakes the triangular product at about this n
 # (measured in the README, "Kernels and performance")
-FFT_MIN_N = 1600
+FFT_MIN_N = 1050
+# a chunk whose Schur products (its size times the summed length of its
+# Schur axes) take fewer multiply-adds than this multiplies its first and
+# last axes by numpy.matmul, not dtrmm: the products differ by microseconds
+# there, while the first dtrmm imports scipy.linalg (measured in the README,
+# "Start-up")
+TRMM_MIN_MADDS = 1 << 18
 
 
 class FactorizationError(RuntimeError):
@@ -96,10 +106,12 @@ def sub_seed(seed: int, tag: int) -> int:
 # Anything with the scipy frozen-distribution trio (cdf, ppf, rvs) works if
 # one rvs call of size (c, *s) gives the values of c calls of size s in turn
 # and leaves the generator in their state, as here and in scipy's uniform().
-# The built-in uniform and normal marginals give the same values as scipy's
-# frozen uniform() and norm() and draw straight from the generator, so the
-# CLI never imports scipy.stats, and their draws load no scipy at all;
-# TwoAtomInnovations implements the same surface for the enumeration oracle.
+# The built-in uniform and normal marginals draw straight from the
+# generator, as scipy's frozen uniform() and norm() do, so the CLI never
+# imports scipy.stats, and their draws load no scipy at all; the uniform
+# law's values are uniform()'s, and the normal law is computed from the
+# standard library to scipy.special's accuracy. TwoAtomInnovations
+# implements the same surface for the enumeration oracle.
 # ---------------------------------------------------------------------------
 
 
@@ -116,23 +128,51 @@ class _UniformMarginal:
         return random_state.random(size)
 
 
+def _erfc(z: np.ndarray) -> np.ndarray:
+    """``math.erfc`` at every element of ``z``: numpy has no erfc."""
+    return np.fromiter(map(math.erfc, z.ravel().tolist()), np.float64, z.size).reshape(z.shape)
+
+
 class _NormalMarginal:
-    """The standard normal law; every normal cdf, log-cdf and quantile goes through it."""
+    """The standard normal law; every normal cdf, log-cdf and quantile goes through it.
+
+    Phi(x) = erfc(-x / sqrt 2) / 2. log Phi is log1p(-Phi(-x)) above 0, where
+    Phi is near 1, log Phi(x) down to -20, and below it the asymptotic series
+    log Phi(x) = -x^2/2 - log(-x sqrt(2 pi)) + log(1 + sum_k (-1)^k (2k-1)!! / x^2k),
+    whose tenth term is under 1e-17 there (scipy's log_ndtr switches at -20
+    too). The quantile is Wichura's AS 241 (``statistics.NormalDist``). A
+    scalar gives a scalar, an array an array of its shape.
+    """
 
     def cdf(self, x):
-        from scipy.special import ndtr
-
-        return ndtr(x)
+        return (0.5 * _erfc(np.asarray(x, dtype=np.float64) / -math.sqrt(2.0)))[()]
 
     def log_cdf(self, x):
-        from scipy.special import log_ndtr
-
-        return log_ndtr(x)
+        x = np.asarray(x, dtype=np.float64)
+        out = np.empty_like(x)
+        up, far = x > 0.0, x < -20.0
+        mid = ~(up | far)
+        out[up] = np.log1p(-self.cdf(-x[up]))
+        out[mid] = np.log(self.cdf(x[mid]))
+        t = np.square(1.0 / x[far])
+        term, series = np.ones_like(t), np.zeros_like(t)
+        for k in range(1, 11):
+            term *= -(2 * k - 1) * t
+            series += term
+        with np.errstate(over="ignore"):  # x^2 / 2 overflows to inf below about -1e154, as it should
+            out[far] = -0.5 * np.square(x[far]) - np.log(-x[far] * math.sqrt(2.0 * math.pi)) + np.log1p(series)
+        return out[()]
 
     def ppf(self, q):
-        from scipy.special import ndtri
+        # statistics is imported here: importing the package loads nothing for the quantile
+        from statistics import NormalDist
 
-        return ndtri(q)
+        q = np.asarray(q, dtype=np.float64)
+        inv = NormalDist().inv_cdf
+        flat = [inv(p) if 0.0 < p < 1.0 else math.nan for p in q.ravel().tolist()]
+        out = np.array(flat, dtype=np.float64).reshape(q.shape)
+        out[q == 0.0], out[q == 1.0] = -np.inf, np.inf
+        return out[()]
 
     def rvs(self, size, random_state):
         return random_state.standard_normal(size)
@@ -502,8 +542,8 @@ class GaussianSeparableField(FieldModel):
     (n_a, R, n_b, ...) for the order (a, b, ...): replication r is
     ``x[:, r]``. With the
     replication axis next to the first axis, the products with the first
-    and the last factor are each one in-place triangular BLAS product on a
-    contiguous 2-D view, so a factor is read once per chunk.
+    and the last factor are each one product on a contiguous 2-D view (see
+    ``_transform``), so a factor is read once per chunk.
     """
 
     name = "gaussian_separable"
@@ -528,21 +568,33 @@ class GaussianSeparableField(FieldModel):
 
     @staticmethod
     def _transform(x, factors):
-        """Mode-i product of x (laid out (n0, R, n1, ...)) with each factor, in place; None skips an axis."""
-        from scipy.linalg.blas import dtrmm
+        """Mode-i product of x (laid out (n0, R, n1, ...)) with each factor, in place; None skips an axis.
 
-        n0 = x.shape[0]
+        The first and the last factor multiply a contiguous 2-D view: by
+        ``dtrmm`` when the chunk's Schur products take at least
+        ``TRMM_MIN_MADDS`` multiply-adds, else by ``np.matmul``.
+        """
+        small = x.size * sum(L.shape[0] for L in factors if L is not None) < TRMM_MIN_MADDS
+        if not small:
+            from scipy.linalg.blas import dtrmm
         # a C-ordered (rows, cols) view is the Fortran-ordered transpose, so
         # L @ V is computed as V^T <- V^T L^T and V @ L^T as V^T <- L V^T
         if factors[0] is not None:
-            dtrmm(1.0, factors[0], x.reshape(n0, -1).T, side=1, lower=1, trans_a=1, overwrite_b=1)
+            L, v = factors[0], x.reshape(x.shape[0], -1)
+            if small:
+                v[...] = L @ v
+            else:
+                dtrmm(1.0, L, v.T, side=1, lower=1, trans_a=1, overwrite_b=1)
         for i, L in enumerate(factors[1:-1], start=1):
             if L is not None:
                 v = x.reshape(-1, L.shape[0], math.prod(x.shape[i + 2 :]))
                 v[...] = np.matmul(L, v)
         if len(factors) > 1 and factors[-1] is not None:
-            L = factors[-1]
-            dtrmm(1.0, L, x.reshape(-1, L.shape[0]).T, lower=1, overwrite_b=1)
+            L, v = factors[-1], x.reshape(-1, x.shape[-1])
+            if small:
+                v[...] = v @ L.T
+            else:
+                dtrmm(1.0, L, v.T, lower=1, overwrite_b=1)
         return x
 
     @staticmethod

@@ -126,7 +126,22 @@ class TestOthers:
         assert rep["functional"] == "beta_k2"
         assert rep["mode"] == "exact"
         assert rep["value"] > 0.0
-        assert rep["lower_bound_only"] is True
+        assert rep["lower_bound_only"] is False
+
+    @pytest.mark.parametrize(
+        "extra, lower_bound_only",
+        [
+            ({}, False),  # exact on every admissible split: the functional itself
+            ({"n": 8, "exhaustive": False}, True),  # exact on the quarter grid of (8, 8), a strict subset
+            ({"mode": "mc", "reps": 200}, False),  # a max of noisy terms, biased upward: no bound either way
+        ],
+    )
+    def test_beta_lower_bound_only_where_it_holds(self, tmp_path, extra, lower_bound_only):
+        cfg = write_cfg(tmp_path, extra)
+        assert run(["beta", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        rep = json.loads((tmp_path / "o" / "beta.json").read_text())
+        assert rep["mode"] == extra.get("mode", "exact")
+        assert rep["lower_bound_only"] is lower_bound_only
 
     @pytest.mark.parametrize("k", [0, 1])
     def test_beta_rejects_k_below_2(self, tmp_path, capsys, k):
@@ -652,10 +667,13 @@ HEAVY_SCIPY = ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.fft")
 def test_startup_leaves_out_heavy_scipy(tmp_path):
     """Importing the CLI loads no scipy, and each command only the submodules it uses.
 
-    Gaussian draws use scipy.linalg (``dtrmm``) and the normal law
-    scipy.special (``ndtr``, ``log_ndtr``, ``ndtri``); nothing else in a
-    command needs scipy, and HEAVY_SCIPY costs 0.2-0.5 s of start-up each.
-    A circulant axis draws through numpy.fft, never scipy.fft.
+    The normal law comes from the standard library, so no command loads
+    scipy.special. A Gaussian chunk whose Schur products reach
+    ``sampling.TRMM_MIN_MADDS`` multiply-adds goes through ``dtrmm`` and loads
+    scipy.linalg; a smaller one (a default ``simulate`` field, or (2019, 9),
+    whose one Schur axis has length 9) multiplies through numpy. Nothing
+    else in a command needs scipy, and HEAVY_SCIPY costs 0.2-0.5 s of
+    start-up each. A circulant axis draws through numpy.fft, never scipy.fft.
     Each command runs in its own fresh interpreter, because the test session
     has imported all of these already.
     """
@@ -663,20 +681,26 @@ def test_startup_leaves_out_heavy_scipy(tmp_path):
     runs = {
         "extremal-index": (["extremal-index"], ()),
         "beta": (["beta"], ()),
-        "directional-test": (["directional-test"], ("scipy.special",)),
+        "directional-test": (["directional-test"], ()),
+        # 2000 replications per square at defaults; 20 keep the test short and still reach the bound
+        "sectorial-test": (["sectorial-test", "--reps", "20"], ("scipy.linalg",)),
+        "berman": (["berman", "--reps", "20"], ("scipy.linalg",)),
     }
     models = {
-        "gaussian": ({"kind": "gaussian_separable"}, ("scipy.linalg",)),
-        "iid-uniform": ({"kind": "iid", "marginal": "uniform"}, ()),
-        "iid-normal": ({"kind": "iid", "marginal": "normal"}, ()),
-        "moving-max-uniform": ({"kind": "moving_max", "innovations": {"kind": "uniform"}}, ()),
+        "gaussian": {"kind": "gaussian_separable"},
+        "iid-uniform": {"kind": "iid", "marginal": "uniform"},
+        "iid-normal": {"kind": "iid", "marginal": "normal"},
+        "moving-max-uniform": {"kind": "moving_max", "innovations": {"kind": "uniform"}},
     }
-    for name, (model, uses) in models.items():
+    for name, model in models.items():
         cfg = write_cfg(tmp_path, {"model": model}, f"{name}.json")
-        runs[f"simulate {name}"] = (["simulate", "--config", cfg], uses)
+        runs[f"simulate {name}"] = (["simulate", "--config", cfg], ())
     # axis 0 through its circulant embedding, axis 1 through its Schur factor
     cfg = write_cfg(tmp_path, {"dims": [2019, 9]}, "gaussian-circulant.json")
-    runs["simulate gaussian-circulant"] = (["simulate", "--config", cfg], ("scipy.linalg",))
+    runs["simulate gaussian-circulant"] = (["simulate", "--config", cfg], ())
+    # 40000 values times 400 multiply-adds each: above the bound
+    cfg = write_cfg(tmp_path, {"dims": [200, 200]}, "gaussian-large.json")
+    runs["simulate gaussian-large"] = (["simulate", "--config", cfg], ("scipy.linalg",))
     code = (
         "import json, sys\n"
         "import phantomfields.cli\n"

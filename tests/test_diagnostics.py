@@ -125,7 +125,16 @@ class TestBetaExact:
             beta_k_estimate(two_atom_model, curve_diagonal(2), 0.5, T=1.0, n=3, k=2, splits=bad)
 
     def test_reported_as_lower_bound(self, two_atom_model):
+        # the quarter grid of (8, 8) is a strict subset of the admissible splits; at
+        # (3, 3) it is all of them, and the value is the functional itself
+        rep = beta_k_estimate(two_atom_model, curve_diagonal(2), 0.5, T=1.0, n=8, k=2, mode="exact")
+        assert rep.to_json()["lower_bound_only"] is True
         rep = beta_k_estimate(two_atom_model, curve_diagonal(2), 0.5, T=1.0, n=3, k=2, mode="exact")
+        assert rep.to_json()["lower_bound_only"] is False
+        # as many splits as the full set, but one repeated in place of another: still partial
+        splits = exhaustive_splits((3, 3), k=2)
+        splits[-1] = splits[0]
+        rep = beta_k_estimate(two_atom_model, curve_diagonal(2), 0.5, T=1.0, n=3, k=2, splits=splits, mode="exact")
         assert rep.to_json()["lower_bound_only"] is True
         assert rep.to_json()["functional"] == "beta_k2"
 
