@@ -212,9 +212,11 @@ def phantom_distance(law, G: PhantomCandidate, m: float) -> DistanceReport:
         xs.append(np.array([s for s in support if math.isfinite(s)]))
     if law_bp is None and support is not None and all(math.isfinite(s) for s in support):
         xs.append(np.linspace(support[0], support[1], PROBE_MESH))
-    probes = np.unique(np.concatenate(xs)) if xs else np.empty(0)
+    probes = np.sort(np.concatenate(xs)) if xs else np.empty(0)
     if len(probes) == 0:
         raise ValueError("no probe points: law and candidate expose neither breakpoints nor a finite support")
+    # the distinct probes: np.unique would do, but its first call imports numpy.ma
+    probes = probes[np.r_[True, probes[1:] != probes[:-1]]]
     d_right = np.abs(np.asarray(law.cdf(probes), dtype=np.float64) - G.power(probes, m))
     d_left = np.abs(np.asarray(law.cdf_left(probes), dtype=np.float64) - G.power_left(probes, m))
     d = np.maximum(d_right, d_left)

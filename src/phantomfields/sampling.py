@@ -2,14 +2,15 @@
 
 Models share one RNG contract: a run with master seed s reads one
 generator, ``np.random.default_rng(s)`` (PCG64), and a draw on ``dims``
-fills the rectangle ``dilated(dims)`` with i.i.d. inputs, so replication
-r is the r-th block of prod(dilated(dims)) draws, whatever chunk it falls
-in and however many replications follow. The input rectangle is ``dims``
-itself, but for a moving max (dims + window - 1) and for a Gaussian axis
-of length n >= ``FFT_MIN_N`` (its circulant embedding length m, about
-2n). The iid and moving-max draws are bit-identical under any chunking.
-A Gaussian draw goes through its circulant axes one replication at a
-time, and through its Schur axes as a BLAS product over the chunk, whose
+fills the rectangle ``dilated(dims)`` with i.i.d. inputs in C order over
+the axes of ``dims``, so replication r is the r-th block of
+prod(dilated(dims)) draws, whatever chunk it falls in and however many
+replications follow. The input rectangle is ``dims`` itself, but for a
+moving max (dims + window - 1) and for a Gaussian axis of length
+n >= ``FFT_MIN_N`` (its circulant embedding length m, about 2n). The iid
+and moving-max draws are bit-identical under any chunking. A Gaussian
+draw goes through its circulant axes one replication at a time, and
+through its Schur axes as a BLAS product over the chunk, whose
 rounding can depend on where a replication sits in it, so Gaussian draws
 agree to the last bit or two (within 4 ulps of the largest value at
 (20, 20)).
@@ -227,7 +228,8 @@ def _corner_maxes(x: np.ndarray, rects: np.ndarray) -> np.ndarray:
     """
     where = []
     for ax, col in enumerate(rects.T, start=1):
-        ends = np.unique(col).tolist()
+        # sorted(set()), not np.unique, whose first call imports numpy.ma
+        ends = sorted(set(col.tolist()))
         y = np.empty(x.shape[:ax] + (len(ends),) + x.shape[ax + 1 :], dtype=x.dtype)
         xs, ys = np.moveaxis(x, ax, 0), np.moveaxis(y, ax, 0)
         for i, (lo, hi) in enumerate(zip([0] + ends[:-1], ends)):
@@ -532,15 +534,11 @@ class GaussianSeparableField(FieldModel):
     per line make ``dilated`` m there, and whose cost is O(m log m) per line
     instead of O(n^2). Factors and spectra are cached per (polygon, length).
 
-    The axes are taken in an order with the circulant axes last (a stable
-    sort, so a draw with no circulant axis keeps the order of ``dims``).
-    ``_draw`` reads a chunk's normals in one call, (R, *inputs), each
-    replication's block filling ``dilated(dims)`` in C order over the axes
-    in that order, so the lines of the last circulant axis are contiguous.
-    ``_finish`` writes each replication's circulant lines over its own
-    normals, then copies the chunk into one array laid out
-    (n_a, R, n_b, ...) for the order (a, b, ...): replication r is
-    ``x[:, r]``. With the
+    ``_draw`` reads a chunk's normals in one call, (R, *dilated(dims)),
+    each replication's block in C order over the axes of ``dims``, as for
+    every model. ``_finish`` writes each replication's circulant lines over
+    its own normals, then copies the chunk into one array laid out
+    (n0, R, n1, ...): replication r is ``x[:, r]``. With the
     replication axis next to the first axis, the products with the first
     and the last factor are each one product on a contiguous 2-D view (see
     ``_transform``), so a factor is read once per chunk.
@@ -597,36 +595,27 @@ class GaussianSeparableField(FieldModel):
                 dtrmm(1.0, L, v.T, lower=1, overwrite_b=1)
         return x
 
-    @staticmethod
-    def _order(dims) -> list[int]:
-        """The axes with the circulant ones last (a stable sort), so that the lines of the last one are contiguous."""
-        return sorted(range(len(dims)), key=lambda i: dims[i] >= FFT_MIN_N)
-
     def _resolve(self, dims):
-        """``_order``, and the Schur factors and circulant weights of the axes in it; a bad spectrum raises before a bad factor."""
+        """Each axis's map in order: its circulant weights (1-D) from ``FFT_MIN_N`` on, else its Schur factor (2-D); a bad spectrum raises before a bad factor."""
         self.dilated(dims)
-        order = self._order(dims)
-        k = sum(n < FFT_MIN_N for n in dims)
-        weights = [circulant_weights(self.cov.axes[i], dims[i], axis=i) for i in order[k:]]
-        factors = [toeplitz_cholesky(self.cov.axes[i], dims[i], axis=i) for i in order[:k]]
-        return order, factors, weights
+        axes = list(enumerate(zip(self.cov.axes, dims)))
+        weights = {i: circulant_weights(ax, n, axis=i) for i, (ax, n) in axes if n >= FFT_MIN_N}
+        return [weights[i] if i in weights else toeplitz_cholesky(ax, n, axis=i) for i, (ax, n) in axes]
 
     def _draw(self, dims, rng, count):
-        m = self.dilated(dims)
-        return rng.standard_normal((count,) + tuple(m[i] for i in self._order(dims)))
+        return rng.standard_normal((count,) + self.dilated(dims))
 
     def _finish(self, dims, raw):
-        order, factors, weights = self._resolve(dims)
-        k = len(factors)
-        shape = tuple(dims[i] for i in order)
-        if weights:
+        maps = self._resolve(dims)
+        fft = [i for i, a in enumerate(maps) if a.ndim == 1]
+        if fft:
             for z in raw:
-                for j, w in enumerate(weights, start=k):
-                    z = _circulant(z.swapaxes(j, -1), w, shape[j]).swapaxes(j, -1)
-        x = np.ascontiguousarray(np.moveaxis(raw[(slice(None),) + tuple(map(slice, shape))], 0, 1))
-        x = self._transform(x, factors + [None] * len(weights))
-        # a view (R, n0, n1, ...) of the (n_a, R, n_b, ...) layout, not a copy
-        return np.moveaxis(x, 1, 0).transpose((0,) + tuple(1 + np.argsort(order)))
+                for i in fft:
+                    z = _circulant(z.swapaxes(i, -1), maps[i], dims[i]).swapaxes(i, -1)
+        x = np.ascontiguousarray(np.moveaxis(raw[(slice(None),) + tuple(map(slice, dims))], 0, 1))
+        x = self._transform(x, [None if i in fft else a for i, a in enumerate(maps)])
+        # a view (R, n0, n1, ...) of the (n0, R, n1, ...) layout, not a copy
+        return np.moveaxis(x, 1, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -674,8 +674,10 @@ def test_startup_leaves_out_heavy_scipy(tmp_path):
     whose one Schur axis has length 9) multiplies through numpy. Nothing
     else in a command needs scipy, and HEAVY_SCIPY costs 0.2-0.5 s of
     start-up each. A circulant axis draws through numpy.fft, never scipy.fft.
-    Each command runs in its own fresh interpreter, because the test session
-    has imported all of these already.
+    No command loads numpy.ma (16-19 ms, which the first ``np.unique`` call
+    pays) but through scipy.linalg, whose array-API layer runs
+    ``from numpy import *``. Each command runs in its own fresh interpreter,
+    because the test session has imported all of these already.
     """
     # name -> (argv, the scipy submodules the command may and must load)
     runs = {
@@ -701,12 +703,15 @@ def test_startup_leaves_out_heavy_scipy(tmp_path):
     # 40000 values times 400 multiply-adds each: above the bound
     cfg = write_cfg(tmp_path, {"dims": [200, 200]}, "gaussian-large.json")
     runs["simulate gaussian-large"] = (["simulate", "--config", cfg], ("scipy.linalg",))
+    # the Monte-Carlo table reduces its rectangles through _corner_maxes
+    cfg = write_cfg(tmp_path, {"mode": "mc", "reps": 200}, "beta-mc.json")
+    runs["beta mc"] = (["beta", "--config", cfg], ())
     code = (
         "import json, sys\n"
         "import phantomfields.cli\n"
-        "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "at_import = scipy()\n"
-        "print(json.dumps([at_import, phantomfields.cli.main(sys.argv[1:]), scipy()]))\n"
+        "heavy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'numpy.ma')\n"
+        "at_import = heavy()\n"
+        "print(json.dumps([at_import, phantomfields.cli.main(sys.argv[1:]), heavy()]))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(phantomfields.__file__)))
     for name, (argv, uses) in runs.items():

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 from scipy.stats import uniform
 
+import phantomfields
 from phantomfields import (
     EmpiricalLaw,
     IIDField,
@@ -118,6 +122,19 @@ class TestPhantomDistance:
             law = exact_max_law(iid_uniform, (n, n))
             d = phantom_distance(law, uniform_candidate(), float(n * n))
             assert d.value <= 1e-12
+
+    def test_loads_no_numpy_ma(self):
+        # np.unique's first call imports numpy.ma, 16-19 ms of a command's start-up
+        code = (
+            "import sys\n"
+            "from phantomfields import IIDField, TwoAtomInnovations, empirical_max_law, phantom_distance, uniform_candidate\n"
+            "law = empirical_max_law(IIDField(TwoAtomInnovations()), (2, 2), 50, seed=6)\n"
+            "phantom_distance(law, uniform_candidate(), 4.0)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(phantomfields.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_rejects_nonpositive_m(self, iid_uniform):
         law = empirical_max_law(iid_uniform, (2, 2), 10, seed=7)

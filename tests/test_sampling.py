@@ -200,6 +200,20 @@ class TestGaussianSampler:
         x = field.sample_values((3, 4), np.random.default_rng(0))
         assert np.max(np.abs(x - x[0, 0])) <= 1e-12
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_inputs_fill_dims_in_c_order_with_a_circulant_first_axis(self, gauss, cov, seed, monkeypatch):
+        # axis 0 circulant and axis 1 Schur: the block of (m, 3) normals is
+        # read in C order over the axes of dims, as every model's block is
+        monkeypatch.setattr(sampling, "FFT_MIN_N", 5)
+        dims = (10, 3)
+        m = sampling.embedding_length(dims[0])
+        assert gauss.dilated(dims) == (m, 3)
+        z = np.random.default_rng(seed).standard_normal((1, m, 3))[0]
+        lines = sampling._circulant(z.T.copy(), sampling.circulant_weights(cov.axes[0], dims[0]), dims[0]).T
+        expected = lines @ toeplitz_cholesky(cov.axes[1], dims[1]).T
+        got = gauss.sample_values(dims, np.random.default_rng(seed))
+        assert np.max(np.abs(got - expected)) <= 1e-12
+
     def test_negative_eigenvalue_names_axis_and_value(self, cov, monkeypatch):
         # concave, so not a Polya polygon: c = (1, 0.9, 0.5, 0.5, ...) has the
         # eigenvalues 0.5 + 0.8 cos(2 pi k / m) away from k = 0, -0.3 at k = m/2
