@@ -10,10 +10,10 @@ moving max (dims + window - 1) and for a Gaussian axis of length
 n >= ``FFT_MIN_N`` (its circulant embedding length m, about 2n). The iid
 and moving-max draws are bit-identical under any chunking. A Gaussian
 draw goes through its circulant axes one replication at a time, and
-through its Schur axes as a BLAS product over the chunk, whose
-rounding can depend on where a replication sits in it, so Gaussian draws
-agree to the last bit or two (within 4 ulps of the largest value at
-(20, 20)).
+through its Schur axes as numpy products over tiles of the chunk. BLAS
+picks its kernel by a product's size, so the rounding can depend on where
+a replication sits in the chunk, and Gaussian draws agree to the last bit
+or two (within 2 ulps of the largest value at (587, 8)).
 
 A draw is two steps: ``_draw`` reads a chunk's inputs off the stream in
 one call and does nothing else (for the Gaussian field one
@@ -29,15 +29,10 @@ at least one. 8 MiB stays about cache-sized through the fill, the
 transform and the reduction, and memory grows neither with the
 replication count nor with the rectangle, beyond one replication.
 
-scipy is loaded by one call only: the ``dtrmm`` of a Gaussian chunk whose
-Schur products take at least ``TRMM_MIN_MADDS`` multiply-adds, where the
-triangular product halves the work of ``numpy.matmul``. A smaller chunk
-(one default ``simulate`` field) multiplies through numpy, since importing
-``scipy.linalg`` costs far more than the product. The normal law comes from
-the standard library (``math.erfc``, ``statistics.NormalDist``), and the
-circulant axes use ``numpy.fft``, never ``scipy.fft``, so importing the
-package loads no scipy. ``batches`` imports ``concurrent.futures`` when it
-runs.
+No draw loads scipy: the Schur products are numpy's (``_lower_product``),
+the normal law comes from the standard library (``math.erfc``,
+``statistics.NormalDist``), and the circulant axes use ``numpy.fft``.
+``batches`` imports ``concurrent.futures`` when it runs.
 """
 
 from __future__ import annotations
@@ -56,12 +51,11 @@ CHUNK_BYTES = 8 << 20
 # to fill, the FFT line overtakes the triangular product at about this n
 # (measured in the README, "Kernels and performance")
 FFT_MIN_N = 1050
-# a chunk whose Schur products (its size times the summed length of its
-# Schur axes) take fewer multiply-adds than this multiplies its first and
-# last axes by numpy.matmul, not dtrmm: the products differ by microseconds
-# there, while the first dtrmm imports scipy.linalg (measured in the README,
-# "Start-up")
-TRMM_MIN_MADDS = 1 << 18
+# a Schur product multiplies tiles of this many lines of its axis by 32
+# times as many of the chunk's other lines, each into one reused buffer of
+# a tile (256 KiB), so it allocates no chunk-sized temporary (measured in
+# the README, "Start-up")
+PRODUCT_BLOCK = 32
 
 
 class FactorizationError(RuntimeError):
@@ -431,7 +425,7 @@ def toeplitz_cholesky(poly: CharacteristicPolygon, n: int, axis: int = 0) -> np.
     1995), whose residual is of the order of Cholesky's. |rho| >= 1 at step k
     means the leading minor of order k + 2 is not positive, the index LAPACK's
     potrf reports. L is the transpose of the C-ordered L^T, so it is
-    Fortran-ordered, as the BLAS calls of the transform want it.
+    Fortran-ordered, as the transform's products read it.
     """
     cached = poly._chol_cache.get(n)
     if cached is not None:
@@ -523,6 +517,27 @@ def _circulant(z, w, n: int) -> np.ndarray:
     return np.fft.irfft(v, m, norm="forward", out=z)[..., :n]
 
 
+def _lower_product(L, v) -> None:
+    """v <- L v in place, for a lower-triangular L (n, n) and a 2-D view v (n, C) in either memory order.
+
+    A tile is ``PRODUCT_BLOCK`` rows [s, e) of a panel of 32 ``PRODUCT_BLOCK``
+    columns, and takes L[s:e, :e] @ v[:e]: one matmul into a buffer laid out
+    as v, copied over the tile. The bottom tile of a panel goes first, so
+    every row a tile reads is still an input, and only the diagonal blocks
+    multiply zeros of L.
+    """
+    n = v.shape[0]
+    step = 32 * PRODUCT_BLOCK
+    buf = np.empty_like(v[:PRODUCT_BLOCK, :step])
+    for c in range(0, v.shape[1], step):
+        panel = v[:, c : c + step]
+        for s in reversed(range(0, n, PRODUCT_BLOCK)):
+            e = min(s + PRODUCT_BLOCK, n)
+            tile = buf[: e - s, : panel.shape[1]]
+            np.matmul(L[s:e, :e], panel[:e], out=tile)
+            panel[s:e] = tile
+
+
 class GaussianSeparableField(FieldModel):
     """Zero-mean unit-variance Gaussian field with separable covariance.
 
@@ -568,31 +583,17 @@ class GaussianSeparableField(FieldModel):
     def _transform(x, factors):
         """Mode-i product of x (laid out (n0, R, n1, ...)) with each factor, in place; None skips an axis.
 
-        The first and the last factor multiply a contiguous 2-D view: by
-        ``dtrmm`` when the chunk's Schur products take at least
-        ``TRMM_MIN_MADDS`` multiply-adds, else by ``np.matmul``.
+        The first and the last factor multiply a contiguous 2-D view by
+        ``_lower_product``, the last through its transpose.
         """
-        small = x.size * sum(L.shape[0] for L in factors if L is not None) < TRMM_MIN_MADDS
-        if not small:
-            from scipy.linalg.blas import dtrmm
-        # a C-ordered (rows, cols) view is the Fortran-ordered transpose, so
-        # L @ V is computed as V^T <- V^T L^T and V @ L^T as V^T <- L V^T
         if factors[0] is not None:
-            L, v = factors[0], x.reshape(x.shape[0], -1)
-            if small:
-                v[...] = L @ v
-            else:
-                dtrmm(1.0, L, v.T, side=1, lower=1, trans_a=1, overwrite_b=1)
+            _lower_product(factors[0], x.reshape(x.shape[0], -1))
         for i, L in enumerate(factors[1:-1], start=1):
             if L is not None:
                 v = x.reshape(-1, L.shape[0], math.prod(x.shape[i + 2 :]))
                 v[...] = np.matmul(L, v)
         if len(factors) > 1 and factors[-1] is not None:
-            L, v = factors[-1], x.reshape(-1, x.shape[-1])
-            if small:
-                v[...] = v @ L.T
-            else:
-                dtrmm(1.0, L, v.T, lower=1, overwrite_b=1)
+            _lower_product(factors[-1], x.reshape(-1, x.shape[-1]).T)
         return x
 
     def _resolve(self, dims):

@@ -138,9 +138,10 @@ class TestGaussianSampler:
 
     @pytest.mark.parametrize("kind", ["gaussian_separable", "moving_max", "iid"])
     def test_chunk_rounding_at_20x20(self, gauss, kind, monkeypatch):
-        # the dtrmm rounding of a Gaussian replication can depend on its place
-        # in the chunk once the last axis is long: its draws agree to within 4
-        # ulps of the largest value; iid and moving-max draws bit for bit
+        # BLAS picks its kernel by a product's size, so the rounding of a
+        # Gaussian replication can depend on its place in the chunk: its draws
+        # agree to within 4 ulps of the largest value; iid and moving-max
+        # draws bit for bit
         model = TestNestedMaxes.model(kind, gauss)
         dims, reps = (20, 20), 64
 
@@ -279,12 +280,12 @@ class TestGaussianExactness:
             target = np.kron(target, toeplitz_target(poly, n))
         # every axis through its Schur factor, the longest axes through their
         # circulant embedding and the others through their factor, then every
-        # axis through its embedding; the Schur products by dtrmm (bound 0),
-        # then by numpy (a bound above every chunk)
-        for madds, fft_min_n in itertools.product((0, math.inf), (sampling.FFT_MIN_N, max(dims), 1)):
-            monkeypatch.setattr(sampling, "TRMM_MIN_MADDS", madds)
+        # axis through its embedding; the Schur products in tiles of one line,
+        # of an uneven 3 lines, and of one tile wider than every axis
+        for block, fft_min_n in itertools.product((1, 3, 2 * max(dims)), (sampling.FFT_MIN_N, max(dims), 1)):
+            monkeypatch.setattr(sampling, "PRODUCT_BLOCK", block)
             monkeypatch.setattr(sampling, "FFT_MIN_N", fft_min_n)
-            assert np.max(np.abs(implied_covariance(field, dims) - target)) <= 1e-12, (madds, fft_min_n)
+            assert np.max(np.abs(implied_covariance(field, dims) - target)) <= 1e-12, (block, fft_min_n)
 
     def test_embedding_length(self):
         smooth = lambda m: m == 1 or any(m % p == 0 and smooth(m // p) for p in (2, 3, 5))
