@@ -19,6 +19,7 @@ the tail; beyond them its closed-form tail rule gives the values.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -51,7 +52,9 @@ class CharacteristicPolygon:
     name: str = "polygon"
 
     # per-length Cholesky factors of the Toeplitz matrix and half-spectrum
-    # weights of its circulant embedding, filled lazily
+    # weights of its circulant embedding, filled lazily, read-only and kept
+    # for the polygon's life; build_eta1/build_eta2 return one polygon per
+    # gamma, so every model of an equal example field shares them
     _chol_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _spectrum_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -140,14 +143,16 @@ _ETA1_KNOT1 = 27.0 * _loglog_ratio(27.0) - 26.0 * _loglog_ratio(28.0)
 _ETA2_KNOT1 = 2.0 / np.log(2.0) - 1.0 / np.log(3.0)
 
 
+@functools.cache
 def build_eta1(gamma1: float) -> CharacteristicPolygon:
-    """First axis polygon: value gamma1*ln(ln k)/ln k at every integer k >= 28."""
+    """First axis polygon: value gamma1*ln(ln k)/ln k at every integer k >= 28; one polygon per gamma1 in a process."""
     tail = lambda k: gamma1 * _loglog_ratio(k)
     return _build_polygon(gamma1, gamma1 * _ETA1_KNOT1, 28, tail, "eta1")
 
 
+@functools.cache
 def build_eta2(gamma2: float) -> CharacteristicPolygon:
-    """Second axis polygon: value gamma2/ln k at every integer k >= 3."""
+    """Second axis polygon: value gamma2/ln k at every integer k >= 3; one polygon per gamma2 in a process."""
     tail = lambda k: gamma2 / np.log(np.asarray(k, dtype=np.float64))
     return _build_polygon(gamma2, gamma2 * _ETA2_KNOT1, 3, tail, "eta2")
 

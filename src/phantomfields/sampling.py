@@ -415,7 +415,7 @@ class MovingMaxField(IIDField):
 
 
 def toeplitz_cholesky(poly: CharacteristicPolygon, n: int, axis: int = 0) -> np.ndarray:
-    """Lower Cholesky factor of T[a, b] = poly(a - b), cached per length.
+    """Lower Cholesky factor of T[a, b] = poly(a - b), cached per polygon and length.
 
     Schur algorithm, O(n^2): with Z the down-shift, T - Z T Z^T = x x^T - y y^T
     for the generator rows x = y = c / sqrt(c[0]) but y[0] = 0. Row k of L^T
@@ -425,7 +425,10 @@ def toeplitz_cholesky(poly: CharacteristicPolygon, n: int, axis: int = 0) -> np.
     1995), whose residual is of the order of Cholesky's. |rho| >= 1 at step k
     means the leading minor of order k + 2 is not positive, the index LAPACK's
     potrf reports. L is the transpose of the C-ordered L^T, so it is
-    Fortran-ordered, as the transform's products read it.
+    Fortran-ordered, as the transform's products read it. The factor is
+    read-only and kept for the polygon's life: the example field's polygons
+    are one per gamma (``build_eta1``), so every model of an equal gamma
+    pair in a process reads this one array.
     """
     cached = poly._chol_cache.get(n)
     if cached is not None:
@@ -449,8 +452,8 @@ def toeplitz_cholesky(poly: CharacteristicPolygon, n: int, axis: int = 0) -> np.
         x_next /= s
         ys *= s
         ys -= rho * x_next
-    L = Lt.T
-    poly._chol_cache[n] = L
+    Lt.flags.writeable = False
+    L = poly._chol_cache[n] = Lt.T
     return L
 
 
@@ -468,7 +471,7 @@ def embedding_length(n: int) -> int:
 
 
 def circulant_weights(poly: CharacteristicPolygon, n: int, axis: int = 0) -> np.ndarray:
-    """Half-spectrum weights of the circulant embedding of T[a, b] = poly(a - b), cached per length.
+    """Half-spectrum weights of the circulant embedding of T[a, b] = poly(a - b), cached per polygon and length.
 
     The embedding is the symmetric circulant of length m = embedding_length(n)
     with first row c_j = poly(min(j, m - j)); m >= 2(n - 1), so its leading
@@ -482,7 +485,9 @@ def circulant_weights(poly: CharacteristicPolygon, n: int, axis: int = 0) -> np.
 
     The weight of frequency k is sqrt(lambda_k / m) at k = 0 and m/2 and
     sqrt(lambda_k / 2m) between, given twice in a row (length m + 2), as
-    ``_circulant`` multiplies the float view of its half-spectrum.
+    ``_circulant`` multiplies the float view of its half-spectrum. Like the
+    Schur factor, the weights are read-only, kept for the polygon's life and
+    shared by every model on it.
     """
     cached = poly._spectrum_cache.get(n)
     if cached is not None:
@@ -496,6 +501,7 @@ def circulant_weights(poly: CharacteristicPolygon, n: int, axis: int = 0) -> np.
     w = np.sqrt(np.maximum(lam, 0.0) / (2 * m))
     w[[0, -1]] *= math.sqrt(2.0)
     w = np.repeat(w, 2)
+    w.flags.writeable = False
     poly._spectrum_cache[n] = w
     return w
 
@@ -547,7 +553,9 @@ class GaussianSeparableField(FieldModel):
     than ``FFT_MIN_N`` uses its Toeplitz Cholesky factor; a longer one its
     circulant embedding (Davies & Harte, Biometrika 1987), whose m inputs
     per line make ``dilated`` m there, and whose cost is O(m log m) per line
-    instead of O(n^2). Factors and spectra are cached per (polygon, length).
+    instead of O(n^2). Factors and spectra are cached per (polygon, length),
+    read-only: the example covariance's polygons are one per gamma in a
+    process, so every model of an equal example field shares them.
 
     ``_draw`` reads a chunk's normals in one call, (R, *dilated(dims)),
     each replication's block in C order over the axes of ``dims``, as for

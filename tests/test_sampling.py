@@ -565,6 +565,54 @@ class TestChunkMemory:
         assert peak - 8 * len(rects) * 256 <= 1.5 * sampling.CHUNK_BYTES
 
 
+class TestSharedFactors:
+    """One polygon per gamma, so one read-only factor and spectrum per axis law and length in a process."""
+
+    def test_models_of_an_equal_gamma_pair_share_the_factor(self):
+        from phantomfields import cli
+
+        dims = (2019, 9)
+        first = GaussianSeparableField(example_covariance())
+        models = [
+            GaussianSeparableField(example_covariance()),
+            GaussianSeparableField(cli._example_covariance(cli.SECTORIAL_DEFAULTS)),
+        ]
+        ref = first.factors(dims)
+        for model in models:
+            assert all(a is b for a, b in zip(model.factors(dims), ref))
+            assert sampling.circulant_weights(model.cov.axes[0], dims[0]) is sampling.circulant_weights(
+                first.cov.axes[0], dims[0]
+            )
+
+    def test_another_gamma_does_not_share(self):
+        # eta1 is a function of gamma1 alone, eta2 of gamma2 alone
+        dims = (30, 9)
+        ref = GaussianSeparableField(example_covariance()).factors(dims)
+        other1 = GaussianSeparableField(example_covariance(GammaPair(0.27, 0.10))).factors(dims)
+        other2 = GaussianSeparableField(example_covariance(GammaPair(0.26, 0.11))).factors(dims)
+        assert other1[0] is not ref[0] and other1[1] is ref[1]
+        assert other2[0] is ref[0] and other2[1] is not ref[1]
+        assert not np.array_equal(other1[0], ref[0]) and not np.array_equal(other2[1], ref[1])
+
+    def test_a_second_model_builds_no_factor(self):
+        # the dense factor of axis 0 at (2019, 9) is 32.6 MB; a second model only reads it
+        dims = (2019, 9)
+        GaussianSeparableField(example_covariance()).factors(dims)
+        second = GaussianSeparableField(example_covariance())
+        assert traced_peak(lambda: second.factors(dims)) < 1 << 20
+
+    def test_cached_maps_are_read_only(self, gauss, cov):
+        dims = (20, 3)
+        before = gauss.block_maxes(dims, 50, seed=3)
+        maps = gauss.factors(dims) + [sampling.circulant_weights(cov.axes[0], 2019)]
+        for a in maps:
+            with pytest.raises(ValueError):
+                a[0] = 2.0
+            with pytest.raises(ValueError):
+                np.multiply(a, 2.0, out=a)
+        assert np.array_equal(gauss.block_maxes(dims, 50, seed=3), before)
+
+
 class TestBuiltinMarginals:
     """The marginals the CLI builds give scipy.stats' values without importing it."""
 
