@@ -19,8 +19,8 @@ the tail; beyond them its closed-form tail rule gives the values.
 
 from __future__ import annotations
 
-import functools
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -53,8 +53,9 @@ class CharacteristicPolygon:
 
     # per-length Cholesky factors of the Toeplitz matrix and half-spectrum
     # weights of its circulant embedding, filled lazily, read-only and kept
-    # for the polygon's life; build_eta1/build_eta2 return one polygon per
-    # gamma, so every model of an equal example field shares them
+    # for the polygon's life; while one polygon of a gamma is alive,
+    # build_eta1/build_eta2 return it, so models of an equal example field
+    # share them
     _chol_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _spectrum_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -111,6 +112,10 @@ def validate_polya(p: CharacteristicPolygon) -> tuple[bool, list[str]]:
     return len(diags) == 0, diags
 
 
+# (name, gamma) -> the polygon, for as long as something else holds it
+_POLYGONS = weakref.WeakValueDictionary()
+
+
 def _build_polygon(gamma, knot1_value, tail_start, tail_fn, name):
     """Polygon through (0, 1), (1, knot1_value) and (k, tail_fn(k)) for k >= tail_start.
 
@@ -125,16 +130,26 @@ def _build_polygon(gamma, knot1_value, tail_start, tail_fn, name):
       is 0.086 at x = 28.
     - eta2, f = 1/ln x: f' = -1/(x ln^2 x) and f'' = (ln x + 2)/(x^2 ln^3 x),
       so f is positive, decreasing and convex for x > 1.
+
+    While a polygon of this name and gamma is alive (a model holds it), the
+    call returns that polygon, so its cached factors and spectra serve every
+    model built on it; its knots are read-only. The last model to go frees
+    it, with its factors, as a polygon of its own would be.
     """
     if not 0.0 < gamma < 1.0:
         raise InfeasibleParameterError(f"{name}: gamma must be in (0, 1), got {gamma}")
+    poly = _POLYGONS.get((name, gamma))
+    if poly is not None:
+        return poly
     ks = np.array([tail_start, tail_start + 1], dtype=np.float64)
     knots_t = np.concatenate(([0.0, 1.0], ks))
     knots_v = np.concatenate(([1.0, knot1_value], tail_fn(ks)))
+    knots_t.flags.writeable = knots_v.flags.writeable = False
     poly = CharacteristicPolygon(knots_t=knots_t, knots_v=knots_v, tail=tail_fn, name=name)
     ok, diags = validate_polya(poly)
     if not ok:
         raise InfeasibleParameterError(f"{name}(gamma={gamma}) infeasible: {diags[0]}")
+    _POLYGONS[name, gamma] = poly
     return poly
 
 
@@ -143,16 +158,14 @@ _ETA1_KNOT1 = 27.0 * _loglog_ratio(27.0) - 26.0 * _loglog_ratio(28.0)
 _ETA2_KNOT1 = 2.0 / np.log(2.0) - 1.0 / np.log(3.0)
 
 
-@functools.cache
 def build_eta1(gamma1: float) -> CharacteristicPolygon:
-    """First axis polygon: value gamma1*ln(ln k)/ln k at every integer k >= 28; one polygon per gamma1 in a process."""
+    """First axis polygon: value gamma1*ln(ln k)/ln k at every integer k >= 28."""
     tail = lambda k: gamma1 * _loglog_ratio(k)
     return _build_polygon(gamma1, gamma1 * _ETA1_KNOT1, 28, tail, "eta1")
 
 
-@functools.cache
 def build_eta2(gamma2: float) -> CharacteristicPolygon:
-    """Second axis polygon: value gamma2/ln k at every integer k >= 3; one polygon per gamma2 in a process."""
+    """Second axis polygon: value gamma2/ln k at every integer k >= 3."""
     tail = lambda k: gamma2 / np.log(np.asarray(k, dtype=np.float64))
     return _build_polygon(gamma2, gamma2 * _ETA2_KNOT1, 3, tail, "eta2")
 

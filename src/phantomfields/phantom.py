@@ -270,24 +270,17 @@ def estimate_level_sequence(
     ``FieldModel.nested_maxes``). The level is the order statistic at
     ceil(gamma * reps). The curve's rectangles are nested, so every
     replication's maxima, and hence the levels, are nondecreasing in n.
-    A curve may stall (psi has 2026 distinct points to n = 20000), so each
-    distinct point is read and sorted once and its level given to every n
-    at it; the draw's largest rectangle, and so every value, is the same.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must be in (0, 1)")
     pts = curve.table(horizon)
-    # the distinct points in order by dict.fromkeys, not np.unique, whose first call imports numpy.ma
-    rows = list(map(tuple, pts.tolist()))
-    index = {p: i for i, p in enumerate(dict.fromkeys(rows))}
-    maxes = model.nested_maxes(list(index), reps, sub_seed(seed, horizon))
-    levels = np.array([EmpiricalLaw(np.sort(m), reps).quantile(gamma) for m in maxes])
+    maxes = model.nested_maxes(pts, reps, sub_seed(seed, horizon))
     return LevelSequence(
         curve=curve,
         gamma=gamma,
         n_values=np.arange(curve.n_min, horizon + 1),
         psi_star=np.prod(pts, axis=1),
-        levels=levels[list(map(index.get, rows))],
+        levels=np.array([EmpiricalLaw(np.sort(m), reps).quantile(gamma) for m in maxes]),
     )
 
 

@@ -426,9 +426,9 @@ def toeplitz_cholesky(poly: CharacteristicPolygon, n: int, axis: int = 0) -> np.
     means the leading minor of order k + 2 is not positive, the index LAPACK's
     potrf reports. L is the transpose of the C-ordered L^T, so it is
     Fortran-ordered, as the transform's products read it. The factor is
-    read-only and kept for the polygon's life: the example field's polygons
-    are one per gamma (``build_eta1``), so every model of an equal gamma
-    pair in a process reads this one array.
+    read-only and kept for the polygon's life: while a model holds the
+    example field's polygon of a gamma, ``build_eta1`` returns that one, so
+    every model of an equal gamma pair reads this one array.
     """
     cached = poly._chol_cache.get(n)
     if cached is not None:
@@ -554,8 +554,8 @@ class GaussianSeparableField(FieldModel):
     circulant embedding (Davies & Harte, Biometrika 1987), whose m inputs
     per line make ``dilated`` m there, and whose cost is O(m log m) per line
     instead of O(n^2). Factors and spectra are cached per (polygon, length),
-    read-only: the example covariance's polygons are one per gamma in a
-    process, so every model of an equal example field shares them.
+    read-only: while one model of an example covariance is alive, another
+    of an equal gamma pair gets its polygons, and so shares them.
 
     ``_draw`` reads a chunk's normals in one call, (R, *dilated(dims)),
     each replication's block in C order over the axes of ``dims``, as for

@@ -219,36 +219,6 @@ class TestLevelSequences:
         assert np.array_equal(seq.levels, raw)
         assert np.all(np.diff(raw) >= 0)
 
-    def test_psi_levels_are_those_of_the_full_table(self):
-        # psi stalls: 2026 distinct points among the 19998 to n = 20000, each
-        # read once; the levels are bit for bit those of a read of every point
-        from phantomfields import GaussianSeparableField, curve_psi_example, example_covariance
-
-        model, psi = GaussianSeparableField(example_covariance()), curve_psi_example()
-        seq = estimate_level_sequence(model, psi, 0.3, horizon=20000, reps=64, seed=13)
-        pts = psi.table(20000)
-        assert len(set(map(tuple, pts.tolist()))) == 2026
-        maxes = model.nested_maxes(pts, 64, sub_seed(13, 20000))
-        assert np.array_equal(seq.levels, np.sort(maxes, axis=1)[:, math.ceil(0.3 * 64) - 1])
-        assert np.array_equal(seq.psi_star, np.prod(pts, axis=1))
-
-    def test_psi_levels_hold_the_distinct_points_only(self):
-        # above the (2026, reps) maxima, about one chunk (1.28 x CHUNK_BYTES
-        # measured; 5.7 x with the (19998, reps) table of every point)
-        import tracemalloc
-
-        from phantomfields import GaussianSeparableField, curve_psi_example, example_covariance, sampling
-
-        model, psi, reps = GaussianSeparableField(example_covariance()), curve_psi_example(), 256
-        model.block_maxes(psi(20000), 1, seed=0)  # the cached axis maps are not part of the draw
-        tracemalloc.start()
-        try:
-            estimate_level_sequence(model, psi, 0.3, horizon=20000, reps=reps, seed=11)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - 8 * 2026 * reps <= 1.5 * sampling.CHUNK_BYTES
-
     def test_exact_sequence_no_repair(self, iid_uniform):
         seq = exact_level_sequence(iid_uniform, curve_diagonal(2), E_INV, horizon=10)
         assert np.allclose(seq.levels, [E_INV ** (1.0 / (n * n)) for n in range(1, 11)], rtol=1e-14)

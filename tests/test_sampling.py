@@ -566,7 +566,7 @@ class TestChunkMemory:
 
 
 class TestSharedFactors:
-    """One polygon per gamma, so one read-only factor and spectrum per axis law and length in a process."""
+    """While a model holds a polygon, an equal gamma gets it: one read-only factor and spectrum per axis law and length."""
 
     def test_models_of_an_equal_gamma_pair_share_the_factor(self):
         from phantomfields import cli
@@ -587,9 +587,11 @@ class TestSharedFactors:
     def test_another_gamma_does_not_share(self):
         # eta1 is a function of gamma1 alone, eta2 of gamma2 alone
         dims = (30, 9)
-        ref = GaussianSeparableField(example_covariance()).factors(dims)
-        other1 = GaussianSeparableField(example_covariance(GammaPair(0.27, 0.10))).factors(dims)
-        other2 = GaussianSeparableField(example_covariance(GammaPair(0.26, 0.11))).factors(dims)
+        models = [
+            GaussianSeparableField(example_covariance(g))
+            for g in (GammaPair(0.26, 0.10), GammaPair(0.27, 0.10), GammaPair(0.26, 0.11))
+        ]
+        ref, other1, other2 = (m.factors(dims) for m in models)
         assert other1[0] is not ref[0] and other1[1] is ref[1]
         assert other2[0] is ref[0] and other2[1] is not ref[1]
         assert not np.array_equal(other1[0], ref[0]) and not np.array_equal(other2[1], ref[1])
@@ -597,14 +599,29 @@ class TestSharedFactors:
     def test_a_second_model_builds_no_factor(self):
         # the dense factor of axis 0 at (2019, 9) is 32.6 MB; a second model only reads it
         dims = (2019, 9)
-        GaussianSeparableField(example_covariance()).factors(dims)
+        first = GaussianSeparableField(example_covariance())
+        first.factors(dims)
         second = GaussianSeparableField(example_covariance())
         assert traced_peak(lambda: second.factors(dims)) < 1 << 20
+
+    def test_the_last_model_frees_its_polygons(self):
+        # nothing is kept past the models: the next model builds afresh
+        import weakref
+
+        gammas = GammaPair(0.27, 0.11)
+        model = GaussianSeparableField(example_covariance(gammas))
+        model.factors((30, 9))
+        refs = [weakref.ref(ax) for ax in model.cov.axes]
+        del model
+        assert all(r() is None for r in refs)
+        again = example_covariance(gammas)
+        assert all(ax._chol_cache == {} for ax in again.axes)
 
     def test_cached_maps_are_read_only(self, gauss, cov):
         dims = (20, 3)
         before = gauss.block_maxes(dims, 50, seed=3)
-        maps = gauss.factors(dims) + [sampling.circulant_weights(cov.axes[0], 2019)]
+        ax = cov.axes[0]
+        maps = gauss.factors(dims) + [sampling.circulant_weights(ax, 2019), ax.knots_t, ax.knots_v]
         for a in maps:
             with pytest.raises(ValueError):
                 a[0] = 2.0
