@@ -13,7 +13,8 @@ draw goes through its circulant axes one replication at a time, and
 through its Schur axes as numpy products over tiles of the chunk. BLAS
 picks its kernel by a product's size, so the rounding can depend on where
 a replication sits in the chunk, and Gaussian draws agree to the last bit
-or two (within 2 ulps of the largest value at (587, 8)).
+or two: within 2 ulps of the largest value at (587, 8), where 1 to 7 of
+500 maxima move, by at most 1.5 ulps, between chunks of 8 and 2 MiB.
 
 A draw is two steps: ``_draw`` reads a chunk's inputs off the stream in
 one call and does nothing else (for the Gaussian field one
@@ -25,9 +26,13 @@ the caller's thread finishes chunk k and reduces it. One thread at a
 time reads the stream, so every value is the one a serial draw gives. In
 flight at once are two input blocks and one output block; a chunk holds
 as many replications as fit that sum in ``CHUNK_BYTES`` of float64, and
-at least one. 8 MiB stays about cache-sized through the fill, the
-transform and the reduction, and memory grows neither with the
-replication count nor with the rectangle, beyond one replication.
+at least one. 2 MiB is the L2 cache of one core of the 2-vCPU Xeon the
+README's timings come from (``lscpu``: 4 MiB over 2 cores), where the
+8 MiB chunk it replaced kept four times that in flight. Per replication the fill and the reduction cost the same at
+either size, and so do the products on short squares (at (587, 8) about
+a fifth more), so the smaller chunk mainly holds less memory. Memory
+grows neither with the replication count nor with the rectangle, beyond
+one replication.
 
 No draw loads scipy: the Schur products are numpy's (``_lower_product``),
 the normal law comes from the standard library (``math.erfc``,
@@ -45,7 +50,8 @@ import numpy as np
 from . import kernels
 from .covariance import CharacteristicPolygon, SeparableCovariance
 
-CHUNK_BYTES = 8 << 20
+# what a draw keeps in flight: two input blocks and one output block (see above)
+CHUNK_BYTES = 2 << 20
 # a Gaussian axis this long or longer is drawn through its circulant
 # embedding, a shorter one through its Schur factor: with twice the normals
 # to fill, the FFT line overtakes the triangular product at about this n
@@ -211,27 +217,34 @@ def _rectangle(dims) -> tuple[int, ...]:
     return dims
 
 
-def _corner_maxes(x: np.ndarray, rects: np.ndarray) -> np.ndarray:
-    """The max of each replication of the chunk ``x`` (R, *box) over each rectangle of ``rects`` (P, d) at the origin, shape (P, R).
+def _corner_plan(rects: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """What ``_corner_maxes`` reads of the rectangles ``rects`` (P, d): per axis, its largest length, the starts of the slabs between its distinct lengths, and the slab of each rectangle's length."""
+    plan = []
+    for col in rects.T:
+        # sorted(set()), not np.unique, whose first call imports numpy.ma
+        ends = sorted(set(col.tolist()))
+        plan.append((ends[-1], np.array([0] + ends[:-1]), np.searchsorted(ends, col)))
+    return plan
 
-    One axis at a time: the slab between two consecutive distinct lengths
-    of the rectangles on that axis is reduced once, and a running max over
+
+def _corner_maxes(x: np.ndarray, plan) -> np.ndarray:
+    """The max of each replication of the chunk ``x`` (R, *box) over each rectangle of a ``_corner_plan`` at the origin, shape (P, R).
+
+    One axis at a time: the axis is cut at its largest length (the last
+    slab of ``reduceat`` runs to the end of the axis, and the box may be
+    longer than every rectangle), one ``np.maximum.reduceat`` reduces each
+    slab between two consecutive distinct lengths, and a running max over
     the slabs gives the max up to each length. Every rectangle is then read
     off by the positions of its lengths. A maximum has no rounding, so the
     values are those of a separate max over each rectangle's corner.
     """
-    where = []
-    for ax, col in enumerate(rects.T, start=1):
-        # sorted(set()), not np.unique, whose first call imports numpy.ma
-        ends = sorted(set(col.tolist()))
-        y = np.empty(x.shape[:ax] + (len(ends),) + x.shape[ax + 1 :], dtype=x.dtype)
-        xs, ys = np.moveaxis(x, ax, 0), np.moveaxis(y, ax, 0)
-        for i, (lo, hi) in enumerate(zip([0] + ends[:-1], ends)):
-            np.maximum.reduce(xs[lo:hi], axis=0, out=ys[i])
-        np.maximum.accumulate(ys, axis=0, out=ys)
-        x = y
-        where.append(np.searchsorted(ends, col))
-    return x[(slice(None),) + tuple(where)].T
+    # the longest axis first: reduceat runs one inner loop per line along its
+    # axis, so this order runs the fewest; on a tie the later axis, the
+    # contiguous one in every model's chunk
+    for ax, (hi, starts, _) in sorted(enumerate(plan, start=1), key=lambda a: (a[1][0], a[0]), reverse=True):
+        x = np.maximum.reduceat(x[(slice(None),) * ax + (slice(hi),)], starts, axis=ax)
+        np.maximum.accumulate(x, axis=ax, out=x)
+    return x[(slice(None),) + tuple(where for _, _, where in plan)].T
 
 
 class FieldModel:
@@ -280,11 +293,11 @@ class FieldModel:
         generator made for this call has one reader at a time, in
         replication order, so the values do not depend on R. R is the
         number of replications whose two input blocks on ``dilated(dims)``
-        and one output block on ``dims`` fit in ``CHUNK_BYTES`` of float64,
-        and at least 1. Every chunk is a fresh array; reduce each before
-        taking the next (e.g. through ``map``) to keep one output block
-        alive. Closing or dropping the iterator waits for the draw in flight
-        and ends the worker.
+        and one output block on ``dims`` fit in ``CHUNK_BYTES`` of float64
+        (2 MiB, one core's L2 cache), and at least 1. Every chunk is a
+        fresh array; reduce each before taking the next (e.g. through
+        ``map``) to keep one output block alive. Closing or dropping the
+        iterator waits for the draw in flight and ends the worker.
         """
         from concurrent.futures import ThreadPoolExecutor
 
@@ -324,9 +337,10 @@ class FieldModel:
         componentwise-largest rectangle, and M over each rectangle is
         the max over its corner of that draw. A row is therefore never
         above the row of a rectangle that contains it, and the values do
-        not depend on the chunking. The corners are reduced together
-        (``_corner_maxes``): a replication costs one pass over the box plus
-        one step per distinct length on each axis, however many rectangles.
+        not depend on the chunking. The corners are reduced together: the
+        rectangles are planned once per draw (``_corner_plan``), and a chunk
+        costs one ``reduceat`` and one running max per axis
+        (``_corner_maxes``), however many rectangles.
         """
         parts = self.nested_max_chunks(rects, reps, seed)
         out = np.empty((len(rects), reps))
@@ -348,8 +362,9 @@ class FieldModel:
         if not rects or len({len(r) for r in rects}) != 1:
             raise ValueError("rects must be a nonempty list of rectangles of one dimension")
         rects = np.array(rects)
+        plan = _corner_plan(rects)
         # map drops each chunk before the next one is reduced
-        return map(lambda x: _corner_maxes(x, rects), self.batches(tuple(rects.max(axis=0)), reps, seed))
+        return map(lambda x: _corner_maxes(x, plan), self.batches(tuple(rects.max(axis=0)), reps, seed))
 
     def block_maxes(self, dims, reps: int, seed: int) -> np.ndarray:
         """reps independent draws of M_dims: ``nested_maxes`` on one rectangle."""

@@ -30,7 +30,7 @@ from phantomfields import (
 from phantomfields import sampling
 from phantomfields.covariance import SeparableCovariance
 from phantomfields.lattice import curve_psi_example
-from phantomfields.sampling import EmbeddingError, _corner_maxes, _NormalMarginal, _UniformMarginal, toeplitz_cholesky
+from phantomfields.sampling import EmbeddingError, _corner_maxes, _corner_plan, _NormalMarginal, _UniformMarginal, toeplitz_cholesky
 
 
 def toeplitz_target(poly, n):
@@ -351,6 +351,22 @@ class TestNestedMaxes:
             chunk_reps(monkeypatch, model, (7, 4), chunk)
             assert np.array_equal(model.nested_maxes(self.RECTS, 40, seed=6), ref), chunk
 
+    @pytest.mark.parametrize("kind", ["gaussian_separable", "moving_max", "iid"])
+    def test_chunk_invariance_along_a_curve_that_stalls(self, gauss, kind, monkeypatch):
+        # psi's 1998 rectangles to 2000 repeat most lengths (262 distinct on
+        # axis 0, 7 on axis 1); 60 replications are two default chunks. The
+        # Gaussian draws agree within the module's 2 ulps of the largest value
+        model = self.model(kind, gauss)
+        rects = curve_psi_example().table(2000)
+        ref = model.nested_maxes(rects, 60, seed=5)
+        for chunk in (1, 2, 7):
+            chunk_reps(monkeypatch, model, tuple(rects.max(axis=0)), chunk)
+            got = model.nested_maxes(rects, 60, seed=5)
+            if kind == "gaussian_separable":
+                assert np.max(np.abs(got - ref)) <= 2 * np.spacing(np.max(np.abs(ref))), chunk
+            else:
+                assert np.array_equal(got, ref), chunk
+
     def test_contained_rectangle_never_above(self, gauss):
         squares = [(n, n) for n in (2, 4, 8, 16)]
         for model in (gauss, MovingMaxField((2, 2), uniform()), IIDField(norm())):
@@ -400,7 +416,7 @@ class TestCornerMaxes:
     def test_equals_the_per_corner_maxima(self, case):
         x, rects = case
         before = x.copy()
-        got = _corner_maxes(x, rects)
+        got = _corner_maxes(x, _corner_plan(rects))
         assert got.shape == (len(rects), len(x))
         assert np.array_equal(got, corner_maxes_reference(x, rects))
         assert np.array_equal(x, before)  # the chunk is read, not written
@@ -557,8 +573,8 @@ class TestChunkMemory:
         assert traced_peak(lambda: model.block_maxes((1, 1), 2000, seed=1)) <= factor * sampling.CHUNK_BYTES
 
     def test_psi_table_peak_above_the_output_is_a_chunk_multiple(self, gauss):
-        # 19998 rectangles off one (2019, 9) box: 1.26 x CHUNK_BYTES measured
-        # above the (19998, 256) output, 5.7 x for a separate max per corner
+        # 19998 rectangles off one (2019, 9) box: 0.90 x CHUNK_BYTES measured
+        # above the (19998, 256) output, 3.7 x for a separate max per corner
         rects = curve_psi_example().table(20000)
         gauss.nested_maxes(rects, 1, seed=0)
         peak = traced_peak(lambda: gauss.nested_maxes(rects, 256, seed=1))
