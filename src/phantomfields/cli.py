@@ -271,19 +271,17 @@ SECTORIAL_DEFAULTS = {
 def _sectorial_table(cfg: dict) -> list:
     """(n, u_n, maxima, Berman bound, gap report) for each n x n square of ``n_grid``.
 
-    Every level u_n is solved before anything is drawn, so a bad ``c`` fails
-    at once. Each replication is drawn once, on the largest square, from the
-    stream of that square's n; every smaller square is its corner.
+    Every level u_n and its Berman bound are computed before anything is
+    drawn, so a bad ``c`` (one with no u_n, or a u_n <= 0) fails at once.
+    Each replication is drawn once, on the largest square, from the stream
+    of that square's n; every smaller square is its corner.
     """
     model = GaussianSeparableField(_example_covariance(cfg))
     ns = cfg["n_grid"]
     us = [phantom.levels_u(cfg["c"], n) for n in ns]
+    bounds = [diagnostics.berman_bound(model.cov, n, u) for n, u in zip(ns, us)]
     maxes = model.nested_maxes([(n, n) for n in ns], cfg["reps"], _sub_seed(cfg["seed"], max(ns)))
-    table = []
-    for n, u, m in zip(ns, us, maxes):
-        b = diagnostics.berman_bound(model.cov, n, u)
-        table.append((n, u, m, b, diagnostics.bound_vs_maxima(b.total, m, n, u)))
-    return table
+    return [(n, u, m, b, diagnostics.bound_vs_maxima(b.total, m, n, u)) for n, u, m, b in zip(ns, us, maxes, bounds)]
 
 
 def cmd_sectorial_test(cfg: dict, out: str):
@@ -386,16 +384,17 @@ def cmd_beta(cfg: dict, out: str):
     n, k, T = cfg["n"], cfg["k"], cfg["T"]
     bound = diagnostics.constraint_box(curve, T, n)
     # the mode is checked, and every split array built, before a level is drawn: a bad mode or k fails at once
-    mode = diagnostics.beta_mode(model, bound, cfg["mode"], cfg["reps"])
+    mode = diagnostics.beta_mode(model, cfg["mode"], cfg["reps"])
     build = diagnostics.exhaustive_splits if cfg["exhaustive"] else diagnostics.quarter_grid_splits
     splits = {j: build(bound, j) for j in sorted({2, k})}
     level = cfg["level"]
-    if level is None:
-        # the gamma-level of M_psi(n): exact, or the empirical gamma-quantile of its block maxima on sub_seed(seed, n)
+    # a null level is the gamma-level of M_psi(n): exact for the family with a closed-form law,
+    # else the empirical gamma-quantile of its block maxima on sub_seed(seed, n)
+    if level is None and isinstance(model, IIDField):
         level = model.exact_block_level(curve(n), cfg["gamma"])
-        if level is None:
-            maxes = model.block_maxes(curve(n), cfg["reps"], _sub_seed(cfg["seed"], n))
-            level = phantom.EmpiricalLaw(np.sort(maxes), cfg["reps"]).quantile(cfg["gamma"])
+    elif level is None:
+        law = phantom.empirical_max_law(model, curve(n), cfg["reps"], _sub_seed(cfg["seed"], n))
+        level = law.quantile(cfg["gamma"])
 
     def estimate(k):
         return diagnostics.beta_k_estimate(

@@ -209,32 +209,14 @@ def covariance_at(c: SeparableCovariance, k) -> float:
     return float(math.prod(ax(abs(x)) for ax, x in zip(c.axes, k)))
 
 
-@dataclass(frozen=True)
-class DeltaReport:
-    value: float
-    argmax: tuple[int, ...]
-    bound: float | None
-    below_bound: bool | None
-
-
-def delta_sup(c: SeparableCovariance) -> DeltaReport:
+def delta_sup(c: SeparableCovariance) -> float:
     """Sup of r over Z^d \\ {0}: the closed form max_i axes[i](1).
 
     Each axis polygon is at most 1 and nonincreasing in |t|, so r(k) is at
     most axes[i](1) for any coordinate k_i != 0, and the unit point e_i
-    attains it. The argmax is that e_i, the last axis among ties. When the
-    covariance carries its gamma pair the report also states whether
-    delta < (1 - 2*gamma1)/(1 + 2*gamma1).
+    attains it.
     """
-    at_one = [float(ax(1.0)) for ax in c.axes]
-    i = len(at_one) - 1 - int(np.argmax(at_one[::-1]))
-    value = at_one[i]
-    argmax = tuple(int(j == i) for j in range(c.d))
-    bound = below = None
-    if c.gammas is not None:
-        bound = (1.0 - 2.0 * c.gammas.gamma1) / (1.0 + 2.0 * c.gammas.gamma1)
-        below = value < bound
-    return DeltaReport(value=value, argmax=argmax, bound=bound, below_bound=below)
+    return max(float(ax(1.0)) for ax in c.axes)
 
 
 def example_covariance(gammas: GammaPair = DEFAULT_GAMMAS) -> SeparableCovariance:

@@ -29,7 +29,7 @@ import numpy as np
 from . import kernels
 from .covariance import SeparableCovariance, delta_sup
 from .lattice import MonotoneCurve
-from .sampling import MovingMaxField, TwoAtomInnovations, _NormalMarginal
+from .sampling import IIDField, MovingMaxField, TwoAtomInnovations, _NormalMarginal, _no_exact_law
 
 
 def _fitting_tuples(pts: np.ndarray, k: int, bound) -> np.ndarray:
@@ -157,16 +157,14 @@ def constraint_box(psi: MonotoneCurve, T: float, n: int) -> tuple[int, ...]:
     return bound
 
 
-def beta_mode(model, bound, mode: str, reps: int) -> str:
-    """``mode`` checked for ``model`` on ``bound``, "auto" resolved: exact where the model has a closed-form law."""
+def beta_mode(model, mode: str, reps: int) -> str:
+    """``mode`` checked for ``model``, "auto" resolved: exact for the ``IIDField`` family, whose law has a closed form."""
     if mode not in ("auto", "exact", "mc"):
         raise ValueError(f"mode must be auto, exact or mc, got {mode!r}")
-    # whether the law exists does not depend on the level it is read at
-    has_exact = model.exact_block_max_cdf(bound, 0.0) is not None
-    if mode == "exact" and not has_exact:
-        raise ValueError(f"model {model.name} has no exact block-max law")
     if mode == "auto":
-        mode = "exact" if has_exact else "mc"
+        mode = "exact" if isinstance(model, IIDField) else "mc"
+    if mode == "exact" and not isinstance(model, IIDField):
+        raise _no_exact_law(model)
     if mode == "mc" and reps < 1:
         raise ValueError(f"mc mode needs reps >= 1, got {reps}")
     return mode
@@ -195,7 +193,7 @@ def beta_k_estimate(
     """
     level = float(level)
     bound = constraint_box(psi, T, n)
-    mode = beta_mode(model, bound, mode, reps)
+    mode = beta_mode(model, mode, reps)
     splits = quarter_grid_splits(bound, k) if splits is None else np.asarray(splits)
     if splits.ndim != 3 or splits.shape[1:] != (k, len(bound)) or len(splits) == 0 or splits.dtype.kind not in "iu":
         raise ValueError(f"splits must be a nonempty integer (S, {k}, {len(bound)}) array, got {splits.dtype} {splits.shape}")
@@ -289,7 +287,7 @@ def berman_bound(c: SeparableCovariance, n: int, u: float, method: str = "direct
         raise ValueError("n must be >= 1")
     if c.d != 2:
         raise ValueError("the comparison bound is implemented for d = 2")
-    delta = delta_sup(c).value
+    delta = delta_sup(c)
     L = (1.0 / (2.0 * math.pi)) / math.sqrt(1.0 - delta * delta)  # the normal-comparison constant
     hi = (1.0 - 3.0 * delta) / (1.0 + delta)
     if hi <= 0:

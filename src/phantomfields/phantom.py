@@ -22,7 +22,7 @@ from .lattice import MonotoneCurve
 from .sampling import _NormalMarginal, _UniformMarginal, _rectangle, sub_seed
 
 GH_NODES = 200
-# points of the mesh that probes a continuous law with a finite support
+# points of the mesh that probes a continuous law on its support
 PROBE_MESH = 4096
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _PHI = _NormalMarginal()
@@ -151,16 +151,23 @@ class EmpiricalLaw:
 
     def quantile(self, gamma: float) -> float:
         """Order statistic at index ceil(gamma * R)."""
-        k = max(int(math.ceil(gamma * self.reps)), 1)
-        return float(self.values[k - 1])
+        return float(self.values[_order_index(gamma, self.reps)])
+
+
+def _order_index(gamma: float, reps: int) -> int:
+    """The 0-based place of the gamma-quantile among reps >= 1 sorted values: ceil(gamma * reps) - 1, and >= 0."""
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+    return max(math.ceil(gamma * reps), 1) - 1
 
 
 @dataclass(eq=False)
 class ExactLaw:
-    """Continuous closed-form block-max law on its support."""
+    """Continuous closed-form block-max law, probed at ``breakpoints``: a ``PROBE_MESH``-point mesh
+    from its 1e-12 to its 1 - 1e-12 level, ends included, or the finite ones alone if either is not."""
 
     cdf: Callable
-    support: tuple[float, float]
+    breakpoints: np.ndarray
 
     def cdf_left(self, x):
         return self.cdf(x)
@@ -172,11 +179,11 @@ def empirical_max_law(model, dims, reps: int, seed: int) -> EmpiricalLaw:
 
 
 def exact_max_law(model, dims) -> ExactLaw:
-    if model.exact_block_max_cdf(dims, 0.0) is None:
-        raise ValueError(f"model {model.name} has no exact block-max law")
     lo = float(model.exact_block_level(dims, 1e-12))
     hi = float(model.exact_block_level(dims, 1.0 - 1e-12))
-    return ExactLaw(cdf=lambda x: model.exact_block_max_cdf(dims, x), support=(lo, hi))
+    ends = [s for s in (lo, hi) if math.isfinite(s)]
+    mesh = np.linspace(lo, hi, PROBE_MESH) if len(ends) == 2 else np.array(ends)
+    return ExactLaw(cdf=lambda x: model.exact_block_max_cdf(dims, x), breakpoints=mesh)
 
 
 # ---------------------------------------------------------------------------
@@ -194,27 +201,19 @@ class DistanceReport:
 def phantom_distance(law, G: PhantomCandidate, m: float) -> DistanceReport:
     """sup_x |law(x) - G(x)^m| over the breakpoints of both sides.
 
-    For step functions (empirical laws, level-built candidates) both
-    one-sided values are checked at every jump, which makes the sup
-    exact; a continuous law with a finite support is also probed on a
-    ``PROBE_MESH``-point mesh of it (resolution reported by the caller).
+    Every law carries its probe points (an exact law a mesh of its support:
+    resolution reported by the caller). For step functions (empirical laws,
+    level-built candidates) both one-sided values are checked at every
+    jump, which makes the sup exact.
     """
     if m <= 0:
         raise ValueError("m must be positive")
-    xs = []
-    law_bp = getattr(law, "breakpoints", None)
-    if law_bp is not None:
-        xs.append(np.asarray(law_bp, dtype=np.float64))
+    xs = [np.asarray(law.breakpoints, dtype=np.float64)]
     if G.breakpoints is not None:
         xs.append(np.asarray(G.breakpoints, dtype=np.float64))
-    support = getattr(law, "support", None)
-    if support is not None:
-        xs.append(np.array([s for s in support if math.isfinite(s)]))
-    if law_bp is None and support is not None and all(math.isfinite(s) for s in support):
-        xs.append(np.linspace(support[0], support[1], PROBE_MESH))
-    probes = np.sort(np.concatenate(xs)) if xs else np.empty(0)
+    probes = np.sort(np.concatenate(xs))
     if len(probes) == 0:
-        raise ValueError("no probe points: law and candidate expose neither breakpoints nor a finite support")
+        raise ValueError("no probe points: neither the law nor the candidate has breakpoints")
     # the distinct probes: np.unique would do, but its first call imports numpy.ma
     probes = probes[np.r_[True, probes[1:] != probes[:-1]]]
     d_right = np.abs(np.asarray(law.cdf(probes), dtype=np.float64) - G.power(probes, m))
@@ -255,6 +254,14 @@ class LevelSequence:
         return self.n_values[keep], self.psi_star[keep], v[keep]
 
 
+def _level_sequence(curve: MonotoneCurve, gamma: float, horizon: int, levels: Callable) -> LevelSequence:
+    """The sequence of ``levels(pts)`` at the points pts of ``curve`` up to ``horizon``; gamma is checked first."""
+    if not 0.0 < gamma < 1.0:
+        raise ValueError("gamma must be in (0, 1)")
+    pts = curve.table(horizon)
+    return LevelSequence(curve, gamma, np.arange(curve.n_min, horizon + 1), np.prod(pts, axis=1), levels(pts))
+
+
 def estimate_level_sequence(
     model,
     curve: MonotoneCurve,
@@ -271,35 +278,20 @@ def estimate_level_sequence(
     ceil(gamma * reps). The curve's rectangles are nested, so every
     replication's maxima, and hence the levels, are nondecreasing in n.
     """
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must be in (0, 1)")
-    pts = curve.table(horizon)
-    maxes = model.nested_maxes(pts, reps, sub_seed(seed, horizon))
-    return LevelSequence(
-        curve=curve,
-        gamma=gamma,
-        n_values=np.arange(curve.n_min, horizon + 1),
-        psi_star=np.prod(pts, axis=1),
-        levels=np.array([EmpiricalLaw(np.sort(m), reps).quantile(gamma) for m in maxes]),
-    )
+
+    def levels(pts):
+        k = _order_index(gamma, reps)
+        maxes = model.nested_maxes(pts, reps, sub_seed(seed, horizon))
+        maxes.sort(axis=1)
+        return maxes[:, k].copy()
+
+    return _level_sequence(curve, gamma, horizon, levels)
 
 
 def exact_level_sequence(model, curve: MonotoneCurve, gamma: float, horizon: int) -> LevelSequence:
     """Levels solving P(M_psi(n) <= v) = gamma for models with exact laws."""
-    pts = curve.table(horizon)
-    levels = np.empty(len(pts))
-    for i, dims in enumerate(pts):
-        v = model.exact_block_level(tuple(int(x) for x in dims), gamma)
-        if v is None:
-            raise ValueError(f"model {model.name} has no exact block-max law")
-        levels[i] = v
-    return LevelSequence(
-        curve=curve,
-        gamma=gamma,
-        n_values=np.arange(curve.n_min, horizon + 1),
-        psi_star=np.prod(pts, axis=1),
-        levels=levels,
-    )
+    levels = lambda pts: np.array([model.exact_block_level(tuple(int(x) for x in dims), gamma) for dims in pts])
+    return _level_sequence(curve, gamma, horizon, levels)
 
 
 def construct_G_psi(levels: LevelSequence) -> StepPhantom:
@@ -342,7 +334,8 @@ def normalizers(n) -> tuple[float, float]:
 def gumbel_H0(x):
     """Standard Gumbel distribution function exp(-exp(-x))."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.exp(-np.exp(-x))
+    # the exponent clipped as in limit_H: exp(700) is finite, and exp(-exp(700)) is 0
+    out = np.exp(-np.exp(np.minimum(-x, 700.0)))
     return float(out) if out.ndim == 0 else out
 
 
@@ -448,10 +441,7 @@ def estimate_extremal_index(model, dims, gamma_in: float = math.exp(-1.0)) -> In
         raise InconsistentIndexError(f"gamma_in must lie in (0, 1), got {gamma_in}")
     n_star = int(np.prod(dims))
     v = float(model.marginal_ppf(gamma_in ** (1.0 / n_star)))
-    g_or = model.exact_block_max_cdf(dims, v)
-    if g_or is None:
-        raise ValueError(f"model {model.name} has no exact block-max law")
-    g_or = float(g_or)
+    g_or = float(model.exact_block_max_cdf(dims, v))
     # Rounding margin: with q = gamma_in^(1/n*) and F(F^-1(q)) = q (1 + d), theta - 1
     # = n* d / ln gamma_in, so an i.i.d. model (theta = 1) lands above 1 for about half
     # of all n. |d| is a few eps, but the normal's lower tail magnifies F^-1's error by

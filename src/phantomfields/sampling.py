@@ -9,7 +9,7 @@ replications follow. The input rectangle is ``dims`` itself, but for a
 moving max (dims + window - 1) and for a Gaussian axis of length
 n >= ``FFT_MIN_N`` (its circulant embedding length m, about 2n). The iid
 and moving-max draws are bit-identical under any chunking. A Gaussian
-draw goes through its circulant axes one replication at a time, and
+draw goes through each circulant axis in one FFT call over the chunk, and
 through its Schur axes as numpy products over tiles of the chunk. BLAS
 picks its kernel by a product's size, so the rounding can depend on where
 a replication sits in the chunk, and Gaussian draws agree to the last bit
@@ -217,6 +217,10 @@ def _rectangle(dims) -> tuple[int, ...]:
     return dims
 
 
+def _no_exact_law(model) -> ValueError:
+    return ValueError(f"model {model.name} has no exact block-max law")
+
+
 def _corner_plan(rects: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
     """What ``_corner_maxes`` reads of the rectangles ``rects`` (P, d): per axis, its largest length, the starts of the slabs between its distinct lengths, and the slab of each rectangle's length."""
     plan = []
@@ -260,6 +264,9 @@ class FieldModel:
     worker thread, one chunk ahead of the caller. Block maxima go through
     ``nested_maxes``, which reads every rectangle of a grid or curve off
     one draw of the largest.
+
+    Only the ``IIDField`` family has a closed-form block-max law: on any
+    other model the ``exact_block_*`` methods raise ValueError.
     """
 
     name = "field"
@@ -322,13 +329,12 @@ class FieldModel:
     def marginal_ppf(self, q):
         return self.marginal.ppf(q)
 
-    # exact block-max law, if the model has one (else None)
+    # P(M_dims <= x) and the level v with P(M_dims <= v) = gamma, in closed form (see above)
     def exact_block_max_cdf(self, dims, x):
-        return None
+        raise _no_exact_law(self)
 
     def exact_block_level(self, dims, gamma: float):
-        """Level v with P(M_dims <= v) = gamma, for models with exact laws."""
-        return None
+        raise _no_exact_law(self)
 
     def nested_maxes(self, rects, reps: int, seed: int) -> np.ndarray:
         """M over each origin-anchored rectangle of ``rects``, shape (len(rects), reps).
@@ -574,12 +580,12 @@ class GaussianSeparableField(FieldModel):
 
     ``_draw`` reads a chunk's normals in one call, (R, *dilated(dims)),
     each replication's block in C order over the axes of ``dims``, as for
-    every model. ``_finish`` writes each replication's circulant lines over
-    its own normals, then copies the chunk into one array laid out
-    (n0, R, n1, ...): replication r is ``x[:, r]``. With the
-    replication axis next to the first axis, the products with the first
-    and the last factor are each one product on a contiguous 2-D view (see
-    ``_transform``), so a factor is read once per chunk.
+    every model. ``_finish`` writes the chunk's circulant lines over its
+    normals, then copies the chunk into one array laid out (n0, R, n1, ...):
+    replication r is ``x[:, r]``. With the replication axis next to the
+    first axis, the products with the first and the last factor are each
+    one product on a contiguous 2-D view (see ``_transform``), so a factor
+    is read once per chunk.
     """
 
     name = "gaussian_separable"
@@ -603,20 +609,20 @@ class GaussianSeparableField(FieldModel):
         ]
 
     @staticmethod
-    def _transform(x, factors):
-        """Mode-i product of x (laid out (n0, R, n1, ...)) with each factor, in place; None skips an axis.
+    def _transform(x, maps):
+        """Mode-i product of x (laid out (n0, R, n1, ...)) with each Schur factor, in place; a 1-D map skips its axis.
 
         The first and the last factor multiply a contiguous 2-D view by
         ``_lower_product``, the last through its transpose.
         """
-        if factors[0] is not None:
-            _lower_product(factors[0], x.reshape(x.shape[0], -1))
-        for i, L in enumerate(factors[1:-1], start=1):
-            if L is not None:
+        if maps[0].ndim == 2:
+            _lower_product(maps[0], x.reshape(x.shape[0], -1))
+        for i, L in enumerate(maps[1:-1], start=1):
+            if L.ndim == 2:
                 v = x.reshape(-1, L.shape[0], math.prod(x.shape[i + 2 :]))
                 v[...] = np.matmul(L, v)
-        if len(factors) > 1 and factors[-1] is not None:
-            _lower_product(factors[-1], x.reshape(-1, x.shape[-1]).T)
+        if len(maps) > 1 and maps[-1].ndim == 2:
+            _lower_product(maps[-1], x.reshape(-1, x.shape[-1]).T)
         return x
 
     def _resolve(self, dims):
@@ -631,13 +637,12 @@ class GaussianSeparableField(FieldModel):
 
     def _finish(self, dims, raw):
         maps = self._resolve(dims)
-        fft = [i for i, a in enumerate(maps) if a.ndim == 1]
-        if fft:
-            for z in raw:
-                for i in fft:
-                    z = _circulant(z.swapaxes(i, -1), maps[i], dims[i]).swapaxes(i, -1)
-        x = np.ascontiguousarray(np.moveaxis(raw[(slice(None),) + tuple(map(slice, dims))], 0, 1))
-        x = self._transform(x, [None if i in fft else a for i, a in enumerate(maps)])
+        # each circulant axis over the whole chunk, in place: z ends as raw's view on dims
+        z = raw
+        for i, w in enumerate(maps):
+            if w.ndim == 1:
+                z = _circulant(z.swapaxes(i + 1, -1), w, dims[i]).swapaxes(i + 1, -1)
+        x = self._transform(np.ascontiguousarray(np.moveaxis(z, 0, 1)), maps)
         # a view (R, n0, n1, ...) of the (n0, R, n1, ...) layout, not a copy
         return np.moveaxis(x, 1, 0)
 

@@ -215,6 +215,19 @@ class TestOthers:
         assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == "error: need 0 < c < n^2 = 100\n"
 
+    @pytest.mark.parametrize("command", ["sectorial-test", "berman"])
+    def test_sectorial_nonpositive_level_fails_before_draws(self, tmp_path, capsys, monkeypatch, command):
+        # c = 300 has a level at n = 20, but not a positive one (c >= n^2 / 2): the Berman bound rejects it
+        from phantomfields.sampling import FieldModel
+
+        def no_draws(*args):
+            raise AssertionError("drew before checking c")
+
+        monkeypatch.setattr(FieldModel, "nested_maxes", no_draws)
+        cfg = write_cfg(tmp_path, {"c": 300.0})
+        assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "error: u must be positive\n"
+
     def test_berman_with_mc(self, tmp_path):
         cfg = write_cfg(tmp_path, {"n_grid": [10], "reps": 300})
         code = run(["berman", "--config", cfg, "--out", str(tmp_path / "o")])

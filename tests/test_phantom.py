@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -233,11 +234,19 @@ class TestLevelSequences:
             exact_level_sequence(Falling(uniform()), curve_diagonal(2), 0.5, horizon=5)
 
     def test_exact_sequence_needs_exact_law(self):
-        from phantomfields import GaussianSeparableField, example_covariance
+        # every exact-law entry point raises the model's one error
+        from phantomfields import GaussianSeparableField, beta_k_estimate, example_covariance
 
         model = GaussianSeparableField(example_covariance())
-        with pytest.raises(ValueError):
-            exact_level_sequence(model, curve_diagonal(2), 0.5, horizon=3)
+        calls = [
+            lambda: exact_level_sequence(model, curve_diagonal(2), 0.5, horizon=3),
+            lambda: exact_max_law(model, (3, 3)),
+            lambda: estimate_extremal_index(model, (3, 3)),
+            lambda: beta_k_estimate(model, curve_diagonal(2), 0.5, 1.0, 3, mode="exact"),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="^model gaussian_separable has no exact block-max law$"):
+                call()
 
 
 class TestLevelsU:
@@ -321,6 +330,13 @@ class TestGumbel:
 
     def test_upper_limit(self):
         assert gumbel_H0(50.0) == pytest.approx(1.0, abs=1e-15)
+
+    def test_far_lower_tail_is_zero_without_overflow(self):
+        # exp(-x) overflows below x = -709.8; the clipped exponent gives 0 with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gumbel_H0(-1e308) == 0.0
+            assert gumbel_H0(np.array([-1e308, -800.0])).tolist() == [0.0, 0.0]
 
 
 class TestEquicorrelatedCdf:
