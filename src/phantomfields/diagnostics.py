@@ -26,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import kernels, phantom
 from .covariance import SeparableCovariance, delta_sup
 from .lattice import MonotoneCurve
-from .sampling import IIDField, MovingMaxField, TwoAtomInnovations, _NormalMarginal, _no_exact_law
+from .sampling import IIDField, MovingMaxField, TwoAtomInnovations, _no_exact_law
 
 
 def _fitting_tuples(pts: np.ndarray, k: int, bound) -> np.ndarray:
@@ -353,7 +353,7 @@ def bound_vs_maxima(bound: float, maxes, n: int, u: float) -> GapReport:
     if reps < 1:
         raise ValueError("reps must be >= 1")
     p_hat = float(np.mean(np.asarray(maxes) <= u))
-    target = float(np.exp(n * n * _NormalMarginal().log_cdf(u)))
+    target = float(phantom.normal_candidate().power(u, n * n))
     gap = abs(p_hat - target)
     se = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / reps) / reps)
     return GapReport(gap=gap, bound=bound, se=se, verdict=gap <= bound + 3.0 * se, p_hat=p_hat, target=target)

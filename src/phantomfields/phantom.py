@@ -334,7 +334,7 @@ def normalizers(n) -> tuple[float, float]:
 def gumbel_H0(x):
     """Standard Gumbel distribution function exp(-exp(-x))."""
     x = np.asarray(x, dtype=np.float64)
-    # the exponent clipped as in limit_H: exp(700) is finite, and exp(-exp(700)) is 0
+    # the exponent clipped: exp(700) is finite, and exp(-exp(700)) is 0
     out = np.exp(-np.exp(np.minimum(-x, 700.0)))
     return float(out) if out.ndim == 0 else out
 
@@ -379,13 +379,13 @@ def limit_H(x, kappa: float, method: str = "gauss-hermite"):
 
     the mixed-Gumbel law of Mittal & Ylvisaker (1975). Strictly increasing
     in x with values in (0, 1); kappa -> 0 recovers the Gumbel law. The
-    integrand is a smooth sigmoid in z, overflow-clipped in the exponent
-    (see ``_normal_mean`` for the methods).
+    integrand is ``gumbel_H0`` at x + kappa - sqrt(2 kappa) z, a smooth
+    sigmoid in z (see ``_normal_mean`` for the methods).
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     s = math.sqrt(2.0 * kappa)
-    return _normal_mean(lambda x, z: np.exp(-np.exp(np.minimum(-x - kappa + s * z, 700.0))), x, method)
+    return _normal_mean(lambda x, z: gumbel_H0(x + kappa - s * z), x, method)
 
 
 def equicorrelated_max_cdf(N: int, rho: float, w, method: str = "gauss-hermite"):

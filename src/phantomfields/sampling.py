@@ -26,9 +26,9 @@ the caller's thread finishes chunk k and reduces it. One thread at a
 time reads the stream, so every value is the one a serial draw gives. In
 flight at once are two input blocks and one output block; a chunk holds
 as many replications as fit that sum in ``CHUNK_BYTES`` of float64, and
-at least one. 2 MiB is the L2 cache of one core of the 2-vCPU Xeon the
-README's timings come from (``lscpu``: 4 MiB over 2 cores), where the
-8 MiB chunk it replaced kept four times that in flight. Per replication the fill and the reduction cost the same at
+at least one. 2 MiB is the L2 cache of one core of the 2-vCPU Xeon of
+the timings in README, "Performance" (``lscpu``: 4 MiB over 2 cores),
+where the 8 MiB chunk it replaced kept four times that in flight. Per replication the fill and the reduction cost the same at
 either size, and so do the products on short squares (at (587, 8) about
 a fifth more), so the smaller chunk mainly holds less memory. Memory
 grows neither with the replication count nor with the rectangle, beyond
@@ -55,12 +55,12 @@ CHUNK_BYTES = 2 << 20
 # a Gaussian axis this long or longer is drawn through its circulant
 # embedding, a shorter one through its Schur factor: with twice the normals
 # to fill, the FFT line overtakes the triangular product at about this n
-# (measured in the README, "Kernels and performance")
+# (measured at about 900 to above 1100: README, "Performance")
 FFT_MIN_N = 1050
 # a Schur product multiplies tiles of this many lines of its axis by 32
 # times as many of the chunk's other lines, each into one reused buffer of
-# a tile (256 KiB), so it allocates no chunk-sized temporary (measured in
-# the README, "Start-up")
+# a tile (256 KiB), so it allocates no chunk-sized temporary (its cost
+# against BLAS dtrmm: README, "Performance")
 PRODUCT_BLOCK = 32
 
 
@@ -104,7 +104,7 @@ def sub_seed(seed: int, tag: int) -> int:
 # ---------------------------------------------------------------------------
 # innovation / marginal distributions
 #
-# Anything with the scipy frozen-distribution trio (cdf, ppf, rvs) works if
+# Anything with scipy's frozen-distribution cdf, ppf, isf and rvs works if
 # one rvs call of size (c, *s) gives the values of c calls of size s in turn
 # and leaves the generator in their state, as here and in scipy's uniform().
 # The built-in uniform and normal marginals draw straight from the
@@ -124,6 +124,9 @@ class _UniformMarginal:
 
     def ppf(self, q):
         return np.asarray(q, dtype=np.float64)
+
+    def isf(self, q):
+        return 1.0 - np.asarray(q, dtype=np.float64)
 
     def rvs(self, size, random_state):
         return random_state.random(size)
@@ -175,6 +178,9 @@ class _NormalMarginal:
         out[q == 0.0], out[q == 1.0] = -np.inf, np.inf
         return out[()]
 
+    def isf(self, q):
+        return -self.ppf(q)
+
     def rvs(self, size, random_state):
         return random_state.standard_normal(size)
 
@@ -200,6 +206,9 @@ class TwoAtomInnovations:
     def ppf(self, q):
         q = np.asarray(q, dtype=np.float64)
         return np.where(q <= self.p_lo, self.lo, self.hi)
+
+    def isf(self, q):
+        return self.ppf(1.0 - np.asarray(q, dtype=np.float64))
 
     def rvs(self, size, random_state):
         return np.where(random_state.random(size) < self.p_lo, self.lo, self.hi)
@@ -402,7 +411,8 @@ class IIDField(FieldModel):
 
     def exact_block_level(self, dims, gamma):
         m = math.prod(self.dilated(dims))
-        return float(self.innovations.ppf(gamma ** (1.0 / m)))
+        p = gamma ** (1.0 / m)  # rounds to 1 once m is large: the upper tail comes from its complement
+        return float(self.innovations.ppf(p) if p < 0.5 else self.innovations.isf(-math.expm1(math.log(gamma) / m)))
 
 
 class MovingMaxField(IIDField):

@@ -37,6 +37,7 @@ from phantomfields import (
     sub_seed,
     uniform_candidate,
 )
+from phantomfields.phantom import PROBE_MESH
 from phantomfields.sampling import _NormalMarginal, _UniformMarginal
 
 E_INV = math.exp(-1.0)
@@ -123,6 +124,17 @@ class TestPhantomDistance:
             law = exact_max_law(iid_uniform, (n, n))
             d = phantom_distance(law, uniform_candidate(), float(n * n))
             assert d.value <= 1e-12
+
+    @pytest.mark.parametrize("dims", [(200, 200), (400, 400)])
+    def test_exact_normal_law_probes_its_support(self, dims):
+        # at m = 4e4 cells (1 - 1e-12)^(1/m) rounds to 1: a level solved from
+        # it is inf, the mesh collapses to one point and every distance reads 0
+        law = exact_max_law(IIDField(_NormalMarginal()), dims)
+        assert np.isfinite(law.breakpoints).sum() == PROBE_MESH
+        m = float(math.prod(dims))
+        assert phantom_distance(law, normal_candidate(), m).value <= 1e-9
+        shifted = PhantomCandidate(cdf=lambda x: _NormalMarginal().cdf(np.asarray(x) - 1.0))
+        assert phantom_distance(law, shifted, m).value >= 0.9
 
     def test_loads_no_numpy_ma(self):
         # np.unique's first call imports numpy.ma, 16-19 ms of a command's start-up

@@ -672,8 +672,20 @@ class TestBuiltinMarginals:
         x = np.concatenate([np.linspace(-3.0, 4.0, 701), [0.0, 1.0, -1e300, 1e300, -np.inf, np.inf]])
         assert np.array_equal(ours.cdf(x), theirs.cdf(x))
         q = np.concatenate([np.linspace(0.0, 1.0, 1001), [1e-300, 1.0 - 1e-16]])
-        assert np.array_equal(ours.ppf(q), theirs.ppf(q))
+        assert np.array_equal(ours.ppf(q), theirs.ppf(q)) and np.array_equal(ours.isf(q), theirs.isf(q))
         assert ours.cdf(0.25) == theirs.cdf(0.25) and ours.ppf(0.25) == theirs.ppf(0.25)
+
+    @pytest.mark.parametrize("dims", [(1,), (4, 5), (200, 200)])
+    def test_block_level_holds_both_tails(self, dims):
+        # the gamma-level of the block max of m normals, against scipy's log-cdf:
+        # gamma^(1/m) is tiny in the lower tail and rounds to 1 in the upper one
+        model, m = IIDField(_NormalMarginal()), math.prod(dims)
+        for gamma in (1e-12, 1e-3, 0.5, 1.0 - 1e-3):
+            v = model.exact_block_level(dims, gamma)
+            assert abs(math.exp(m * log_ndtr(v)) / gamma - 1.0) <= 1e-9, gamma
+        gamma = 1.0 - 1e-12  # 1 - gamma is exact in floating point, 1e-12 is not
+        v = model.exact_block_level(dims, gamma)
+        assert abs(-math.expm1(m * log_ndtr(v)) / (1.0 - gamma) - 1.0) <= 1e-9
 
     def test_normal_law_within_measured_bounds(self):
         # the erfc form and AS 241 against scipy.special as the oracle. Each
@@ -694,7 +706,7 @@ class TestBuiltinMarginals:
         x = np.linspace(37.5, 40.0, 2001)
         assert np.all((law.log_cdf(x) <= 0.0) & (law.log_cdf(x) >= log_ndtr(x) - 1e-300))
         q = np.concatenate([np.logspace(-300, -1, 20001), np.linspace(0.1, 0.9, 20001), 1.0 - np.logspace(-16, -1, 20001)])
-        assert within(law.ppf(q), ndtri(q), 1.1e-15)
+        assert within(law.ppf(q), ndtri(q), 1.1e-15) and within(law.isf(q), -ndtri(q), 1.1e-15)
         # the edges, exactly, as scalars and in arrays
         edges = np.array([-np.inf, np.inf, np.nan, 0.0])
         assert np.array_equal(law.cdf(edges), [0.0, 1.0, np.nan, 0.5], equal_nan=True)
@@ -767,6 +779,7 @@ class TestMovingMax:
         assert ta.cdf(2.0) == 1.0
         assert ta.ppf(0.5) == -1.0
         assert ta.ppf(0.9) == 2.0
+        assert ta.isf(0.5) == -1.0 and ta.isf(0.2) == 2.0
         draws = ta.rvs(size=5000, random_state=np.random.default_rng(1))
         assert set(np.unique(draws)) == {-1.0, 2.0}
         assert abs(np.mean(draws == -1.0) - 0.7) < 0.03
