@@ -7,11 +7,12 @@ a field keeps the type of its default, a tolerance is nonnegative, a
 grid (``n_grid``, ``N_grid``) is strictly increasing, and a nested
 object (``model``, its ``innovations``, beta's ``curve``) names one of
 its kinds in ``KINDS`` and only that kind's fields, whose defaults are
-filled in. Other ranges (a feasible gamma pair, a window or
-a curve coordinate >= 1) are the library's to check. A command returns
-its header, rows and verdicts; ``main`` writes them to results.csv and
-summary.json in the output directory and exits 0 on success, 2 when a
-scientific verdict fails, 1 on input errors, usage errors included.
+filled in, and ``_build`` makes it with that kind's builder. Other ranges
+(a feasible gamma pair, a window or a curve coordinate >= 1) are the
+library's to check. A command returns its header, rows and verdicts;
+``main`` writes them to results.csv and summary.json in the output
+directory and exits 0 on success, 2 when a scientific verdict fails, 1 on
+input errors, usage errors included.
 Outputs embed the resolved config and library version; rows are
 formatted deterministically so reruns with the same seed are
 byte-identical.
@@ -50,21 +51,35 @@ class ConfigError(ValueError):
 
 # the example field's gamma pair as config fields: its default everywhere
 GAMMAS = {"gamma1": DEFAULT_GAMMAS.gamma1, "gamma2": DEFAULT_GAMMAS.gamma2}
-# the objects a config nests: kind -> {field: default}, the first kind the
-# default kind. A table curve's points have no default: their entry only
-# gives their type, and REQUIRED_FIELDS makes them required.
+# the objects a config nests: kind -> (builder, {field: default}), the first
+# kind the default kind. ``_build`` passes a builder the resolved object,
+# its nested objects built. A table curve's points have no default: their
+# entry only gives their type, and REQUIRED_FIELDS makes them required.
 KINDS = {
     "model": {
-        "gaussian_separable": GAMMAS,
-        "iid": {"marginal": "uniform"},
-        "moving_max": {"window": [2, 2], "innovations": {"kind": "uniform"}},
+        "gaussian_separable": (lambda c: GaussianSeparableField(_example_covariance(c)), GAMMAS),
+        "iid": (lambda c: IIDField(CHOICES["marginal"][c["marginal"]]()), {"marginal": "uniform"}),
+        # MovingMaxField rejects a window entry of 0
+        "moving_max": (lambda c: MovingMaxField(c["window"], c["innovations"]), {"window": [2, 2], "innovations": {"kind": "uniform"}}),
     },
-    "innovations": {"uniform": {}, "two_atom": {"lo": 0.0, "hi": 1.0, "p_lo": 0.5}},
-    "curve": {"diagonal": {"d": 2}, "psi_example": {}, "table": {"table": [[1]]}},
+    "innovations": {
+        "uniform": (lambda c: _UniformMarginal(), {}),
+        "two_atom": (
+            lambda c: TwoAtomInnovations(lo=float(c["lo"]), hi=float(c["hi"]), p_lo=float(c["p_lo"])),
+            {"lo": 0.0, "hi": 1.0, "p_lo": 0.5},
+        ),
+    },
+    "curve": {
+        "diagonal": (lambda c: curve_diagonal(c["d"]), {"d": 2}),
+        "psi_example": (lambda c: curve_psi_example(), {}),
+        "table": (lambda c: curve_from_table(c["table"]), {"table": [[1]]}),
+    },
 }
 REQUIRED_FIELDS = {"table"}
-# string fields that name one of a few values
-CHOICES = {"marginal": ("uniform", "normal")}
+# string fields that name one of a few values: each name -> what it names.
+# The marginals are the built-in ones, not scipy.stats' frozen laws: same
+# values and draws, without scipy.stats' import time.
+CHOICES = {"marginal": {"uniform": _UniformMarginal, "normal": _NormalMarginal}}
 # fields whose null is meaningful: beta's level and extremal-index's expected_theta
 NULLABLE_FIELDS = {"level", "expected_theta"}
 # the tolerances a verdict compares against: a negative one fails every verdict
@@ -133,7 +148,7 @@ def _checked(key: str, value, default, part: str = "config"):
     kinds = KINDS[key]
     kind = _choice(f"{key} kind", value.get("kind", next(iter(kinds))), tuple(kinds))
     part = key if part == "config" else part
-    fields = kinds[kind]
+    fields = kinds[kind][1]
     for k in value:
         if k != "kind" and k not in fields:
             raise ConfigError(f"{part} field {k!r} is not used by {key} kind {kind}")
@@ -225,34 +240,10 @@ def _example_covariance(cfg: dict):
     return example_covariance(GammaPair(float(cfg["gamma1"]), float(cfg["gamma2"])))
 
 
-def _model_from_config(model: dict):
-    """The field model of a resolved ``model`` object."""
-    if model["kind"] == "gaussian_separable":
-        return GaussianSeparableField(_example_covariance(model))
-    # uniform and normal are the built-in marginals, not scipy.stats' frozen
-    # laws: same values and draws, without scipy.stats' import time
-    if model["kind"] == "iid":
-        return IIDField({"uniform": _UniformMarginal, "normal": _NormalMarginal}[model["marginal"]]())
-    icfg = model["innovations"]
-    if icfg["kind"] == "uniform":
-        innov = _UniformMarginal()
-    else:
-        innov = TwoAtomInnovations(
-            lo=float(icfg["lo"]),
-            hi=float(icfg["hi"]),
-            p_lo=float(icfg["p_lo"]),
-        )
-    # MovingMaxField rejects a window entry of 0
-    return MovingMaxField(model["window"], innov)
-
-
-def _curve_from_config(curve: dict):
-    """The monotone curve of a resolved ``curve`` object."""
-    if curve["kind"] == "diagonal":
-        return curve_diagonal(curve["d"])
-    if curve["kind"] == "psi_example":
-        return curve_psi_example()
-    return curve_from_table(curve["table"])
+def _build(key: str, obj: dict):
+    """The library object of a resolved ``KINDS`` object ``obj`` of the field ``key``, its nested objects built first."""
+    build, _ = KINDS[key][obj["kind"]]
+    return build({k: _build(k, v) if k in KINDS else v for k, v in obj.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +344,7 @@ EXTREMAL_DEFAULTS = {
 
 
 def cmd_extremal_index(cfg: dict, out: str):
-    model = _model_from_config(cfg["model"])
+    model = _build("model", cfg["model"])
     est = phantom.estimate_extremal_index(model, (cfg["n"], cfg["n"]), cfg["gamma_in"])
     ok = cfg["expected_theta"] is None or abs(est.theta - cfg["expected_theta"]) <= cfg["tol"]
     rows = [(cfg["n"], est.theta, est.gamma_or, est.gamma_in, est.level)]
@@ -379,8 +370,8 @@ def cmd_beta(cfg: dict, out: str):
     # checked even when a fixed level leaves it unread, so summary.json never records a bad gamma
     if not 0.0 < cfg["gamma"] < 1.0:
         raise ConfigError(f"config field 'gamma' must lie in (0, 1), got {json.dumps(cfg['gamma'])}")
-    model = _model_from_config(cfg["model"])
-    curve = _curve_from_config(cfg["curve"])
+    model = _build("model", cfg["model"])
+    curve = _build("curve", cfg["curve"])
     n, k, T = cfg["n"], cfg["k"], cfg["T"]
     bound = diagnostics.constraint_box(curve, T, n)
     # the mode is checked, and every split array built, before a level is drawn: a bad mode or k fails at once
@@ -430,7 +421,7 @@ SIMULATE_DEFAULTS = {
 
 
 def cmd_simulate(cfg: dict, out: str):
-    model = _model_from_config(cfg["model"])
+    model = _build("model", cfg["model"])
     values = model.sample_values(cfg["dims"], np.random.default_rng(cfg["seed"]))
     _write_field(out, values, cfg["seed"])
     dims = "x".join(map(str, values.shape))
@@ -475,7 +466,8 @@ def main(argv=None) -> int:
         _check_out(args.out)
         header, rows, verdicts = fn(cfg, args.out)
         _write_outputs(args.out, args.command, cfg, header, rows, verdicts)
-    except (ConfigError, ValueError, FactorizationError, OSError) as e:
+    # a MemoryError is a request too large to allocate, such as beta's split grid at a large k
+    except (ConfigError, ValueError, FactorizationError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     return 0 if all(verdicts.values()) else 2

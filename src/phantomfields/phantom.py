@@ -432,7 +432,8 @@ class IndexEstimate:
 def estimate_extremal_index(model, dims, gamma_in: float = math.exp(-1.0)) -> IndexEstimate:
     """Exact-law index estimate at one rectangle.
 
-    Picks the level v with F(v)^{n*} = gamma_in from the marginal, takes
+    Picks the level v with F(v)^{n*} = gamma_in, F the marginal law: the
+    model's exact block level on one site at gamma_in^(1/n*). Takes
     gamma_or = P(M_dims <= v) from the model's exact block-max law, and
     returns the log ratio.
     """
@@ -440,7 +441,7 @@ def estimate_extremal_index(model, dims, gamma_in: float = math.exp(-1.0)) -> In
     if not 0.0 < gamma_in < 1.0:
         raise InconsistentIndexError(f"gamma_in must lie in (0, 1), got {gamma_in}")
     n_star = int(np.prod(dims))
-    v = float(model.marginal_ppf(gamma_in ** (1.0 / n_star)))
+    v = model.exact_block_level((1,) * len(dims), gamma_in ** (1.0 / n_star))
     g_or = float(model.exact_block_max_cdf(dims, v))
     # Rounding margin: with q = gamma_in^(1/n*) and F(F^-1(q)) = q (1 + d), theta - 1
     # = n* d / ln gamma_in, so an i.i.d. model (theta = 1) lands above 1 for about half

@@ -16,10 +16,13 @@ a replication sits in the chunk, and Gaussian draws agree to the last bit
 or two: within 2 ulps of the largest value at (587, 8), where 1 to 7 of
 500 maxima move, by at most 1.5 ulps, between chunks of 8 and 2 MiB.
 
-A draw is two steps: ``_draw`` reads a chunk's inputs off the stream in
-one call and does nothing else (for the Gaussian field one
-``standard_normal`` call, which releases the GIL for the whole chunk),
-and ``_finish`` turns them into the field. Every Monte-Carlo consumer
+A model is three things: ``innovations``, the law of its i.i.d. inputs;
+``dilated(dims)``, the rectangle they fill; and ``_finisher(dims)``, which
+resolves every axis map once per draw, before any input is read, and
+returns the map from a chunk's inputs to the field. ``FieldModel._draw``
+reads a chunk's inputs in one ``innovations.rvs`` call and does nothing
+else (for the Gaussian field one ``standard_normal`` call, which releases
+the GIL for the whole chunk). Every Monte-Carlo consumer
 draws through ``FieldModel.batches``, which reads the stream ahead: one
 worker thread draws every chunk in replication order, chunk k + 1 while
 the caller's thread finishes chunk k and reduces it. One thread at a
@@ -263,14 +266,14 @@ def _corner_maxes(x: np.ndarray, plan) -> np.ndarray:
 class FieldModel:
     """Base: stationary model sampled on rectangles [1, n1] x ... x [1, nd].
 
-    A model draws in two steps. ``_draw(dims, rng, count)`` reads the next
-    ``count`` replications' inputs off the stream ``rng`` as one array
-    (count, *inputs), and does nothing else; ``_finish(dims, raw)`` turns
-    them into the field (count, *dims) and reads no stream. ``_resolve``
-    computes first what ``_finish`` needs and may fail on, so a bad model
-    fails before any input is read. ``sample_values`` runs the three on
-    the caller's thread (``_batch``); ``batches`` draws every chunk on a
-    worker thread, one chunk ahead of the caller. Block maxima go through
+    A model is three things: ``innovations``, the law of its i.i.d.
+    inputs; ``dilated(dims)``, the rectangle they fill for a draw on
+    ``dims``; and ``_finisher(dims)``, which resolves every axis map, so a
+    bad model fails before any input is read, and returns the map from a
+    chunk's inputs (count, *dilated(dims)) to its field (count, *dims).
+    ``sample_values`` draws on the caller's thread (``_batch``); ``batches``
+    draws every chunk on a worker thread, one chunk ahead of the caller;
+    each calls ``_finisher`` once per draw. Block maxima go through
     ``nested_maxes``, which reads every rectangle of a grid or curve off
     one draw of the largest.
 
@@ -284,22 +287,21 @@ class FieldModel:
         """One draw on the rectangle ``dims``: the next replication of the stream ``rng``."""
         return self._batch(_rectangle(dims), rng, 1)[0]
 
-    def _resolve(self, dims) -> None:
-        """What ``_finish`` on ``dims`` needs and may fail on, computed before any draw: nothing here."""
-
-    def _draw(self, dims, rng, count) -> np.ndarray:
-        raise NotImplementedError
-
-    def _finish(self, dims, raw) -> np.ndarray:
-        return raw
-
-    def _batch(self, dims, rng, count) -> np.ndarray:
-        self._resolve(dims)
-        return self._finish(dims, self._draw(dims, rng, count))
-
     def dilated(self, dims) -> tuple[int, ...]:
         """The rectangle of i.i.d. inputs a draw on ``dims`` fills: ``dims``, but for a moving max and a circulant axis."""
         return dims
+
+    def _finisher(self, dims):
+        """The map from a chunk's inputs to its field on ``dims``: here the inputs themselves."""
+        return lambda raw: raw
+
+    def _draw(self, dims, rng, count) -> np.ndarray:
+        """``count`` replications' inputs in one ``innovations.rvs`` call on (count, *dilated(dims))."""
+        return self.innovations.rvs(size=(count,) + self.dilated(dims), random_state=rng)
+
+    def _batch(self, dims, rng, count) -> np.ndarray:
+        finish = self._finisher(dims)
+        return finish(self._draw(dims, rng, count))
 
     def batches(self, dims, reps: int, seed: int):
         """Replications 0..reps-1 of ``seed`` in order, as chunks (R, *dims).
@@ -318,25 +320,22 @@ class FieldModel:
         from concurrent.futures import ThreadPoolExecutor
 
         dims = _rectangle(dims)
-        self._resolve(dims)
+        finish = self._finisher(dims)
         per_rep = 8 * (2 * math.prod(self.dilated(dims)) + math.prod(dims))
         chunk = max(1, CHUNK_BYTES // per_rep)
         counts = [min(chunk, reps - lo) for lo in range(0, reps, chunk)]
         rng = np.random.default_rng(seed)
         # ahead holds the result call of each chunk in flight: chunk k + 1 is
         # queued before chunk k is awaited, and popped, chunk k's inputs die
-        # with _finish. The worker starts at the first submit.
+        # with finish. The worker starts at the first submit.
         ahead = []
         with ThreadPoolExecutor(1) as worker:
             for count in counts:
                 ahead.append(worker.submit(self._draw, dims, rng, count).result)
                 if len(ahead) == 2:
-                    yield self._finish(dims, ahead.pop(0)())
+                    yield finish(ahead.pop(0)())
             if ahead:
-                yield self._finish(dims, ahead.pop()())
-
-    def marginal_ppf(self, q):
-        return self.marginal.ppf(q)
+                yield finish(ahead.pop()())
 
     # P(M_dims <= x) and the level v with P(M_dims <= v) = gamma, in closed form (see above)
     def exact_block_max_cdf(self, dims, x):
@@ -391,19 +390,14 @@ class IIDField(FieldModel):
 
     A draw on ``dims`` fills ``dilated(dims)`` with i.i.d. ``innovations``
     (here the marginal itself), so the block maximum is the max of
-    m = prod(dilated(dims)) of them: P(M_dims <= x) = F(x)^m exactly.
-    A chunk of R replications is one ``innovations.rvs`` call on
-    (R, *dilated(dims)): the innovations meet the one-call rule above.
+    m = prod(dilated(dims)) of them: P(M_dims <= x) = F(x)^m exactly, and
+    the marginal law is that of the block max on one site.
     """
 
     name = "iid"
 
     def __init__(self, marginal):
-        self.marginal = self.innovations = marginal
-
-    def _draw(self, dims, rng, count):
-        """``count`` replications' inputs in one ``innovations.rvs`` call on (count, *dilated(dims))."""
-        return self.innovations.rvs(size=(count,) + self.dilated(dims), random_state=rng)
+        self.innovations = marginal
 
     def exact_block_max_cdf(self, dims, x):
         m = math.prod(self.dilated(dims))
@@ -437,12 +431,9 @@ class MovingMaxField(IIDField):
             raise ValueError(f"dims must have {len(self.window)} coordinates")
         return tuple(n + w - 1 for n, w in zip(dims, self.window))
 
-    def _finish(self, dims, raw):
-        return kernels.window_max(raw, (1,) + self.window)
-
-    def marginal_ppf(self, q):
-        w_star = math.prod(self.window)
-        return self.innovations.ppf(np.asarray(q, dtype=np.float64) ** (1.0 / w_star))
+    def _finisher(self, dims):
+        """The window max over each replication of a chunk of innovations."""
+        return lambda raw: kernels.window_max(raw, (1,) + self.window)
 
 
 def toeplitz_cholesky(poly: CharacteristicPolygon, n: int, axis: int = 0) -> np.ndarray:
@@ -578,31 +569,31 @@ def _lower_product(L, v) -> None:
 class GaussianSeparableField(FieldModel):
     """Zero-mean unit-variance Gaussian field with separable covariance.
 
-    A draw on a rectangle is an i.i.d. standard normal array pushed
-    through one linear map per axis (valid because the covariance is a
-    tensor product of the axis sequences); exact in law. An axis shorter
-    than ``FFT_MIN_N`` uses its Toeplitz Cholesky factor; a longer one its
-    circulant embedding (Davies & Harte, Biometrika 1987), whose m inputs
-    per line make ``dilated`` m there, and whose cost is O(m log m) per line
-    instead of O(n^2). Factors and spectra are cached per (polygon, length),
-    read-only: while one model of an example covariance is alive, another
-    of an equal gamma pair gets its polygons, and so shares them.
+    Its innovations are i.i.d. standard normals (``_NormalMarginal()``),
+    pushed through one linear map per axis (valid because the covariance
+    is a tensor product of the axis sequences); exact in law. An axis
+    shorter than ``FFT_MIN_N`` uses its Toeplitz Cholesky factor; a longer
+    one its circulant embedding (Davies & Harte, Biometrika 1987), whose m
+    inputs per line make ``dilated`` m there, and whose cost is O(m log m)
+    per line instead of O(n^2). Factors and spectra are cached per
+    (polygon, length), read-only: while one model of an example covariance
+    is alive, another of an equal gamma pair gets its polygons, and so
+    shares them.
 
-    ``_draw`` reads a chunk's normals in one call, (R, *dilated(dims)),
-    each replication's block in C order over the axes of ``dims``, as for
-    every model. ``_finish`` writes the chunk's circulant lines over its
-    normals, then copies the chunk into one array laid out (n0, R, n1, ...):
-    replication r is ``x[:, r]``. With the replication axis next to the
-    first axis, the products with the first and the last factor are each
-    one product on a contiguous 2-D view (see ``_transform``), so a factor
-    is read once per chunk.
+    ``_finisher(dims)`` resolves the axis maps once per draw, before any
+    normal is read. The map it returns writes a chunk's circulant lines
+    over its normals (R, *dilated(dims)), then copies the chunk into one
+    array laid out (n0, R, n1, ...): replication r is ``x[:, r]``. With the
+    replication axis next to the first axis, the products with the first
+    and the last factor are each one product on a contiguous 2-D view (see
+    ``_transform``), so a factor is read once per chunk.
     """
 
     name = "gaussian_separable"
 
     def __init__(self, cov: SeparableCovariance):
         self.cov = cov
-        self.marginal = _NormalMarginal()
+        self.innovations = _NormalMarginal()
 
     def dilated(self, dims) -> tuple[int, ...]:
         """The normals a draw on ``dims`` reads: ``dims``, with m = embedding_length(n) on the circulant axes."""
@@ -635,26 +626,29 @@ class GaussianSeparableField(FieldModel):
             _lower_product(maps[-1], x.reshape(-1, x.shape[-1]).T)
         return x
 
-    def _resolve(self, dims):
-        """Each axis's map in order: its circulant weights (1-D) from ``FFT_MIN_N`` on, else its Schur factor (2-D); a bad spectrum raises before a bad factor."""
+    def _finisher(self, dims):
+        """Each axis's map, resolved now, and the map from a chunk's normals to its field.
+
+        An axis's map is its circulant weights (1-D) from ``FFT_MIN_N`` on,
+        else its Schur factor (2-D); a bad spectrum raises before a bad
+        factor, and both before any draw.
+        """
         self.dilated(dims)
         axes = list(enumerate(zip(self.cov.axes, dims)))
         weights = {i: circulant_weights(ax, n, axis=i) for i, (ax, n) in axes if n >= FFT_MIN_N}
-        return [weights[i] if i in weights else toeplitz_cholesky(ax, n, axis=i) for i, (ax, n) in axes]
+        maps = [weights[i] if i in weights else toeplitz_cholesky(ax, n, axis=i) for i, (ax, n) in axes]
 
-    def _draw(self, dims, rng, count):
-        return rng.standard_normal((count,) + self.dilated(dims))
+        def finish(raw):
+            # each circulant axis over the whole chunk, in place: z ends as raw's view on dims
+            z = raw
+            for i, w in enumerate(maps):
+                if w.ndim == 1:
+                    z = _circulant(z.swapaxes(i + 1, -1), w, dims[i]).swapaxes(i + 1, -1)
+            x = self._transform(np.ascontiguousarray(np.moveaxis(z, 0, 1)), maps)
+            # a view (R, n0, n1, ...) of the (n0, R, n1, ...) layout, not a copy
+            return np.moveaxis(x, 1, 0)
 
-    def _finish(self, dims, raw):
-        maps = self._resolve(dims)
-        # each circulant axis over the whole chunk, in place: z ends as raw's view on dims
-        z = raw
-        for i, w in enumerate(maps):
-            if w.ndim == 1:
-                z = _circulant(z.swapaxes(i + 1, -1), w, dims[i]).swapaxes(i + 1, -1)
-        x = self._transform(np.ascontiguousarray(np.moveaxis(z, 0, 1)), maps)
-        # a view (R, n0, n1, ...) of the (n0, R, n1, ...) layout, not a copy
-        return np.moveaxis(x, 1, 0)
+        return finish
 
 
 # ---------------------------------------------------------------------------

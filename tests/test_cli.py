@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import phantomfields
-from phantomfields.cli import COMMANDS, KINDS, _load_config, main
+from phantomfields.cli import COMMANDS, KINDS, _build, _checked, _load_config, main
 
 
 def run(args):
@@ -253,8 +253,6 @@ class TestOthers:
 
     def test_simulate_field_csv_is_the_draw(self, tmp_path):
         # field.csv holds replication 0 of the seed's stream, row-major, to the last digit
-        from phantomfields.cli import _model_from_config
-
         runs = [
             ({"kind": "gaussian_separable"}, [3, 4]),
             ({"kind": "iid"}, [3, 4, 5]),
@@ -268,7 +266,7 @@ class TestOthers:
             assert lines[0] == f"# dims={','.join(map(str, dims))} seed=77"
             parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
             resolved = read_summary(out)["config"]["model"]
-            values = _model_from_config(resolved).sample_values(dims, np.random.default_rng(77))
+            values = _build("model", resolved).sample_values(dims, np.random.default_rng(77))
             assert np.array_equal(parsed, values.reshape(dims[0], -1))
 
     def test_beta_mc_level(self, tmp_path):
@@ -308,6 +306,14 @@ class TestInputErrors:
     def test_bad_model_kind(self, tmp_path):
         cfg = write_cfg(tmp_path, {"model": {"kind": "perpetuum"}})
         assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+
+    def test_oversized_split_grid_is_one_line(self, tmp_path, capsys):
+        # k = 30 asks for a 4^30-byte grid of 3 + 1 part lengths: refused at
+        # once, being beyond the address space, as a MemoryError
+        cfg = write_cfg(tmp_path, {"k": 30})
+        assert run(["beta", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_factorization_error_is_one_line(self, tmp_path, capsys, monkeypatch):
         from phantomfields import sampling
@@ -643,6 +649,20 @@ RESOLVED_DEFAULTS = {
 }
 
 
+@pytest.mark.parametrize("key, kind", [(key, kind) for key, kinds in KINDS.items() for kind in kinds])
+def test_every_kind_builds_from_its_defaults(key, kind):
+    """Each kind of each nested object builds, from its defaults alone, an object that works."""
+    given = {"kind": kind, "table": [[1, 1], [2, 3]]} if kind == "table" else {"kind": kind}
+    built = _build(key, _checked(key, given, {}))
+    if key == "model":
+        assert built.name == kind
+        assert built.sample_values((3, 2), np.random.default_rng(0)).shape == (3, 2)
+    elif key == "innovations":
+        assert built.rvs(size=(2, 3), random_state=np.random.default_rng(0)).shape == (2, 3)
+    else:
+        assert len(built(built.n_min)) == built.d
+
+
 @pytest.mark.parametrize("command", list(COMMANDS))
 def test_default_config_is_resolved(command):
     """No file and no flags: the config summary.json records, to the byte."""
@@ -734,7 +754,7 @@ def test_startup_leaves_out_heavy_scipy(tmp_path):
 
 # the fields of each kind of each nested object, besides "kind"
 MODEL_FIELDS, INNOVATION_FIELDS, CURVE_FIELDS = (
-    {kind: tuple(fields) for kind, fields in KINDS[what].items()} for what in ("model", "innovations", "curve")
+    {kind: tuple(fields) for kind, (_, fields) in KINDS[what].items()} for what in ("model", "innovations", "curve")
 )
 
 # one config field replaced by an arbitrary small JSON value

@@ -167,6 +167,18 @@ class TestGaussianSampler:
                 parts = [x.max(axis=(1, 2)) for x in model.batches(dims, 50, 8)]
                 assert np.array_equal(model.block_maxes(dims, 50, seed=8), np.concatenate(parts))
 
+    def test_one_resolution_per_draw(self, cov, monkeypatch):
+        # a draw resolves each axis's factor once, not once per chunk
+        calls = []
+        schur = sampling.toeplitz_cholesky
+        monkeypatch.setattr(sampling, "toeplitz_cholesky", lambda poly, n, axis=0: calls.append(axis) or schur(poly, n, axis))
+        model, dims = GaussianSeparableField(cov), (20, 20)
+        chunk_reps(monkeypatch, model, dims, 4)
+        assert len(list(model.batches(dims, 20, seed=1))) == 5
+        calls.clear()
+        model.block_maxes(dims, 20, seed=1)
+        assert sorted(calls) == [0, 1]
+
     def test_degenerate_polygon_rejected(self):
         flat = CharacteristicPolygon(
             knots_t=np.array([0.0, 1.0]), knots_v=np.array([1.0, 1.0])
@@ -657,7 +669,7 @@ class TestBuiltinMarginals:
 
     @pytest.mark.parametrize("law", [_UniformMarginal(), _NormalMarginal(), TwoAtomInnovations(p_lo=0.3), uniform()])
     def test_one_call_is_the_calls_in_turn(self, law):
-        # IIDField._draw reads a chunk in one rvs call on (count, *shape):
+        # FieldModel._draw reads a chunk in one rvs call on (count, *shape):
         # the values and the generator state after it are those of count calls
         for count, shape in [(1, (3,)), (4, (2, 3)), (3, (1, 1, 5))]:
             one, turns = np.random.default_rng(5), np.random.default_rng(5)

@@ -1,5 +1,6 @@
 """Every name the package re-exports has a caller, or is an oracle a check needs,
-and so does every optional parameter of a re-exported function or class.
+and so does every optional parameter of a re-exported function or class, and
+every public method of a re-exported class.
 
 A caller is a reference in ``src/`` outside the name's own definition and
 ``__init__.py``, or a reference in ``perfbench/``. References are read from
@@ -7,6 +8,7 @@ the syntax tree, so a name in a docstring or comment does not count.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -32,6 +34,11 @@ UNSET_OPTIONS = {
     "enumeration_beta.k": "the growth criterion sets it to compare k = 3 with k = 2",
     "PhantomCandidate.breakpoints": "StepPhantom sets it through super().__init__, which names no class",
 }
+
+
+# public methods of re-exported classes (their package base classes' included)
+# that no code in src/ or perfbench/ calls
+UNCALLED_METHODS = {}
 
 
 def exported_names() -> list[str]:
@@ -118,6 +125,29 @@ def called_names() -> set[str]:
     return called
 
 
+def public_methods() -> dict:
+    """"Class.method" -> its definition, for each public method of a re-exported class.
+
+    A class's methods include those of its base classes in the package.
+    """
+    classes = {s.name: s for p in PACKAGE.glob("*.py") for s in ast.parse(p.read_text()).body if isinstance(s, ast.ClassDef)}
+    out = {}
+    for name, definition in exported_definitions().items():
+        todo = [definition] if isinstance(definition, ast.ClassDef) else []
+        while todo:
+            cls = todo.pop()
+            for s in cls.body:
+                if isinstance(s, ast.FunctionDef) and not s.name.startswith("_"):
+                    out.setdefault(f"{name}.{s.name}", s)
+            todo += [classes[b.id] for b in cls.bases if isinstance(b, ast.Name) and b.id in classes]
+    return out
+
+
+def attribute_reads(node) -> Counter:
+    """How often each attribute is read anywhere under ``node``."""
+    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+
 def test_every_reexport_has_a_caller_or_is_an_oracle():
     called = called_names()
     exported = exported_names()
@@ -141,3 +171,15 @@ def test_every_optional_parameter_is_set_by_a_caller_or_listed():
     assert sorted(n for n in unset if n not in UNSET_OPTIONS) == []
     # an option that gains a caller, or leaves the package, leaves the list too
     assert sorted(n for n in UNSET_OPTIONS if n not in unset) == []
+
+
+def test_every_public_method_has_a_caller_or_is_listed():
+    reads = Counter()
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        reads += attribute_reads(ast.parse(path.read_text()))
+    methods = public_methods()
+    # a read of a method's name inside its own definition does not call it
+    uncalled = sorted(k for k, d in methods.items() if reads[d.name] <= attribute_reads(d)[d.name])
+    assert [k for k in uncalled if k not in UNCALLED_METHODS] == []
+    # a method that gains a caller, or leaves the package, leaves the list too
+    assert [k for k in UNCALLED_METHODS if k not in uncalled] == []
