@@ -422,23 +422,22 @@ class TestExtremalIndex:
         t2 = extremal_index(g_or**s, g_in**s)
         assert t2 == pytest.approx(t1, rel=1e-10)
 
-    @pytest.mark.parametrize("window", [(2, 2), (3, 1)])
-    def test_moving_max_oracle(self, window):
+    def test_moving_max_oracle(self):
         # window (a, b), uniform innovations: theta_n = (n+a-1)(n+b-1) / (a b n^2) -> 1 / (a b)
-        a, b = window
-        mm = MovingMaxField(window, _UniformMarginal())
         n = np.arange(1, 3001)
-        closed = (n + a - 1) * (n + b - 1) / (a * b * n.astype(np.float64) ** 2)
-        est = estimate_extremal_index(mm, (200, 200), E_INV)
-        assert abs(est.theta - 1.0 / (a * b)) <= 0.02
-        # float round-trip through the (n+a-1)(n+b-1) power costs a few 1e-12
-        assert est.theta == pytest.approx(closed[199], rel=1e-9)
-        # near gamma_in = 1 the level is near 1, and its last bit is a relative
-        # error of about eps a b n^2 / |ln gamma_in| in theta: the largest
-        # measured, 2.47e-6, is at gamma_in = 0.999 and n = 2000
-        for gamma_in in (1e-300, 1e-10, 0.05, E_INV, 0.5, 0.9, 0.999):
-            theta = np.array([estimate_extremal_index(mm, (k, k), gamma_in).theta for k in n.tolist()])
-            assert np.max(np.abs(theta / closed - 1.0)) <= 2.5e-6, gamma_in
+        for a, b in ((2, 2), (3, 1)):
+            mm = MovingMaxField((a, b), _UniformMarginal())
+            closed = (n + a - 1) * (n + b - 1) / (a * b * n.astype(np.float64) ** 2)
+            est = estimate_extremal_index(mm, (200, 200), E_INV)
+            assert abs(est.theta - 1.0 / (a * b)) <= 0.02
+            # float round-trip through the (n+a-1)(n+b-1) power costs a few 1e-12
+            assert est.theta == pytest.approx(closed[199], rel=1e-9)
+            # near gamma_in = 1 the level is near 1, and its last bit is a relative
+            # error of about eps a b n^2 / |ln gamma_in| in theta: the largest
+            # measured, 2.47e-6, is at gamma_in = 0.999 and n = 2000
+            for gamma_in in (1e-300, 1e-10, 0.05, E_INV, 0.5, 0.9, 0.999):
+                theta = np.array([estimate_extremal_index(mm, (k, k), gamma_in).theta for k in n.tolist()])
+                assert np.max(np.abs(theta / closed - 1.0)) <= 2.5e-6, ((a, b), gamma_in)
 
     def test_oracle_gamma_free(self):
         mm = MovingMaxField((2, 2), uniform())
