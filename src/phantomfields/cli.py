@@ -379,9 +379,9 @@ def cmd_beta(cfg: dict, out: str):
     build = diagnostics.exhaustive_splits if cfg["exhaustive"] else diagnostics.quarter_grid_splits
     splits = {j: build(bound, j) for j in sorted({2, k})}
     level = cfg["level"]
-    # a null level is the gamma-level of M_psi(n): exact for the family with a closed-form law,
+    # a null level is the gamma-level of M_psi(n): exact where the model has a closed form,
     # else the empirical gamma-quantile of its block maxima on sub_seed(seed, n)
-    if level is None and isinstance(model, IIDField):
+    if level is None and model.closed_form:
         level = model.exact_block_level(curve(n), cfg["gamma"])
     elif level is None:
         law = phantom.empirical_max_law(model, curve(n), cfg["reps"], _sub_seed(cfg["seed"], n))

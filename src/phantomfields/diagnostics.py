@@ -22,14 +22,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import kernels, phantom
 from .covariance import SeparableCovariance, delta_sup
 from .lattice import MonotoneCurve
-from .sampling import IIDField, MovingMaxField, TwoAtomInnovations, _no_exact_law
+from .sampling import MovingMaxField, TwoAtomInnovations, _no_exact_law
 
 
 def _fitting_tuples(pts: np.ndarray, k: int, bound) -> np.ndarray:
@@ -130,19 +130,11 @@ class BetaReport:
     lower_bound_only: bool
 
     def to_json(self) -> dict:
-        return {
-            "functional": f"beta_k{self.k}",
-            "grid": self.grid_size,
-            "value": self.value,
-            "mode": self.mode,
-            "se": self.se,
-            "n": self.n,
-            "T": self.T,
-            "bound": list(self.bound),
-            "level": self.level,
-            "argmax": self.argmax,
-            "lower_bound_only": self.lower_bound_only,
-        }
+        out = asdict(self)
+        out["functional"] = f"beta_k{out.pop('k')}"
+        out["grid"] = out.pop("grid_size")
+        out["bound"] = list(self.bound)
+        return out
 
 
 def constraint_box(psi: MonotoneCurve, T: float, n: int) -> tuple[int, ...]:
@@ -158,12 +150,12 @@ def constraint_box(psi: MonotoneCurve, T: float, n: int) -> tuple[int, ...]:
 
 
 def beta_mode(model, mode: str, reps: int) -> str:
-    """``mode`` checked for ``model``, "auto" resolved: exact for the ``IIDField`` family, whose law has a closed form."""
+    """``mode`` checked for ``model``, "auto" resolved: exact where the model's ``closed_form`` says its law has one."""
     if mode not in ("auto", "exact", "mc"):
         raise ValueError(f"mode must be auto, exact or mc, got {mode!r}")
     if mode == "auto":
-        mode = "exact" if isinstance(model, IIDField) else "mc"
-    if mode == "exact" and not isinstance(model, IIDField):
+        mode = "exact" if model.closed_form else "mc"
+    if mode == "exact" and not model.closed_form:
         raise _no_exact_law(model)
     if mode == "mc" and reps < 1:
         raise ValueError(f"mc mode needs reps >= 1, got {reps}")
@@ -186,8 +178,8 @@ def beta_k_estimate(
 
     The constraint box is floor(T * psi(n)); ``splits`` is an integer (S, k, d)
     array of parts in it, the quarter grid by default. mode "exact"
-    requires a model with a closed-form block-max law; "auto" picks
-    exact when available. An exact value is a lower bound for the true
+    requires a model whose ``closed_form`` is True, and "auto" picks
+    it there (``beta_mode``). An exact value is a lower bound for the true
     sup unless the splits cover the full admissible set, the
     prod_j C(bound_j + k, k) k-tuples of parts with sum <= bound.
     """
@@ -303,8 +295,7 @@ def berman_bound(c: SeparableCovariance, n: int, u: float, method: str = "direct
         terms = r * np.exp(-u * u / (1.0 + r))
         terms[0, 0] = 0.0
         in_a = np.zeros_like(terms, dtype=bool)
-        if a_lo <= n:
-            in_a[a_lo:, a_lo:] = True
+        in_a[a_lo:, a_lo:] = True
         s1 = float(terms[in_a].sum())
         s2 = float(terms[~in_a].sum())
     elif method == "factored":
@@ -316,7 +307,7 @@ def berman_bound(c: SeparableCovariance, n: int, u: float, method: str = "direct
             if i == 0:
                 row = row.copy()
                 row[0] = 0.0
-            if a_lo <= n and i >= a_lo:
+            if i >= a_lo:
                 s1 += float(row[a_lo:].sum())
                 s2 += float(row[:a_lo].sum())
             else:

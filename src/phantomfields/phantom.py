@@ -51,16 +51,10 @@ class PhantomCandidate:
     breakpoints: np.ndarray | None = None
 
     def power(self, x, m: float):
-        """G(x)^m with exact 0 and 1 branches (m > 0)."""
+        """G(x)^m = exp(m log G(x)) (m > 0), log G from ``log_cdf`` if given: log 0 = -inf gives the exact 0."""
         x = np.asarray(x, dtype=np.float64)
-        if self.log_cdf is not None:
-            return np.exp(m * self.log_cdf(x))
-        g = np.asarray(self.cdf(x), dtype=np.float64)
-        out = np.zeros_like(g)
-        pos = g > 0.0
         with np.errstate(divide="ignore"):
-            out[pos] = np.exp(m * np.log(g[pos]))
-        return out
+            return np.exp(m * (self.log_cdf(x) if self.log_cdf is not None else np.log(self.cdf(x))))
 
     def power_left(self, x, m: float):
         """Left limit of G^m at x; equals power for continuous candidates."""
@@ -100,14 +94,10 @@ class StepPhantom(PhantomCandidate):
 
     def _power_at(self, x, m: float, side: str):
         x = np.asarray(x, dtype=np.float64)
+        # below the first level idx is -1: it reads the last branch, which the mask drops
         idx = np.searchsorted(self.levels, x, side=side) - 1
-        out = np.zeros(x.shape if x.ndim else (1,))
-        xi = np.atleast_1d(idx)
-        xv = np.atleast_1d(x)
-        hit = xi >= 0
-        out[hit] = self.gamma ** (m / self.psi_star[xi[hit]])
-        out[np.isposinf(xv)] = 1.0
-        return out if x.ndim else float(out[0])
+        out = np.where(np.isposinf(x), 1.0, np.where(idx >= 0, np.power(self.gamma, m / self.psi_star[idx]), 0.0))
+        return out if x.ndim else float(out)
 
     def _cdf(self, x):
         return self._power_at(x, 1.0, "right")
@@ -172,6 +162,9 @@ class ExactLaw:
     def cdf_left(self, x):
         return self.cdf(x)
 
+    def se_at(self, x) -> None:  # a closed-form law has no sampling error
+        return None
+
 
 def empirical_max_law(model, dims, reps: int, seed: int) -> EmpiricalLaw:
     """reps independent draws of M_dims under the model; deterministic per seed."""
@@ -221,8 +214,7 @@ def phantom_distance(law, G: PhantomCandidate, m: float) -> DistanceReport:
     d = np.maximum(d_right, d_left)
     j = int(np.argmax(d))
     x = float(probes[j])
-    se = law.se_at(x) if isinstance(law, EmpiricalLaw) else None
-    return DistanceReport(value=float(d[j]), x=x, se=se)
+    return DistanceReport(value=float(d[j]), x=x, se=law.se_at(x))
 
 
 # ---------------------------------------------------------------------------
@@ -440,15 +432,17 @@ def estimate_extremal_index(model, dims, gamma_in: float = math.exp(-1.0)) -> In
     dims = _rectangle(dims)
     if not 0.0 < gamma_in < 1.0:
         raise InconsistentIndexError(f"gamma_in must lie in (0, 1), got {gamma_in}")
-    n_star = int(np.prod(dims))
-    v = model.exact_block_level((1,) * len(dims), gamma_in ** (1.0 / n_star))
-    g_or = float(model.exact_block_max_cdf(dims, v))
+    n_star = math.prod(dims)
     # Rounding margin: with q = gamma_in^(1/n*) and F(F^-1(q)) = q (1 + d), theta - 1
     # = n* d / ln gamma_in, so an i.i.d. model (theta = 1) lands above 1 for about half
     # of all n. |d| is a few eps, but the normal's lower tail magnifies F^-1's error by
     # v^2 ~ 2 |ln gamma_in| / n*, adding a few eps to theta. The largest excess measured
     # (built-in marginals, gamma_in >= 1e-300, n <= 3000) is 0.50 of the margin, at n = 1.
     slack = 8.0 * np.finfo(np.float64).eps * (n_star / abs(math.log(gamma_in)) + 1.0)
+    if slack >= 1.0:
+        raise ValueError(f"n* = {n_star} is too large for gamma_in = {gamma_in!r}: theta's rounding margin {slack:.3g} spans all of (0, 1]")
+    v = model.exact_block_level((1,) * len(dims), gamma_in ** (1.0 / n_star))
+    g_or = float(model.exact_block_max_cdf(dims, v))
     rounding = gamma_in ** (1.0 + slack) <= g_or < gamma_in  # so a gamma_or of 0 skips the log
     return IndexEstimate(
         theta=math.log(g_or) / math.log(gamma_in) if rounding else extremal_index(g_or, gamma_in),

@@ -19,11 +19,12 @@ or two: within 2 ulps of the largest value at (587, 8), where 1 to 7 of
 A model is three things: ``innovations``, the law of its i.i.d. inputs;
 ``dilated(dims)``, the rectangle they fill; and ``_finisher(dims)``, which
 resolves every axis map once per draw, before any input is read, and
-returns the map from a chunk's inputs to the field. ``FieldModel._draw``
-reads a chunk's inputs in one ``innovations.rvs`` call and does nothing
-else (for the Gaussian field one ``standard_normal`` call, which releases
-the GIL for the whole chunk). Every Monte-Carlo consumer
-draws through ``FieldModel.batches``, which reads the stream ahead: one
+returns the map from a chunk's inputs to the field; ``FieldModel.closed_form``
+says whether its block-max law has one. ``FieldModel._draw`` reads a
+chunk's inputs in one ``innovations.rvs`` call and does nothing else (for
+the Gaussian field one ``standard_normal`` call, which releases the GIL
+for the whole chunk). Every Monte-Carlo consumer draws through
+``FieldModel.batches``, which reads the stream ahead: one
 worker thread draws every chunk in replication order, chunk k + 1 while
 the caller's thread finishes chunk k and reduces it. One thread at a
 time reads the stream, so every value is the one a serial draw gives. In
@@ -277,11 +278,12 @@ class FieldModel:
     ``nested_maxes``, which reads every rectangle of a grid or curve off
     one draw of the largest.
 
-    Only the ``IIDField`` family has a closed-form block-max law: on any
-    other model the ``exact_block_*`` methods raise ValueError.
+    ``closed_form`` says whether the ``exact_block_*`` methods give the block-max
+    law in closed form (the ``IIDField`` family); where False they raise ValueError.
     """
 
     name = "field"
+    closed_form = False
 
     def sample_values(self, dims, rng) -> np.ndarray:
         """One draw on the rectangle ``dims``: the next replication of the stream ``rng``."""
@@ -337,7 +339,7 @@ class FieldModel:
             if ahead:
                 yield finish(ahead.pop()())
 
-    # P(M_dims <= x) and the level v with P(M_dims <= v) = gamma, in closed form (see above)
+    # P(M_dims <= x) and the level v with P(M_dims <= v) = gamma, in closed form (``closed_form``)
     def exact_block_max_cdf(self, dims, x):
         raise _no_exact_law(self)
 
@@ -395,6 +397,7 @@ class IIDField(FieldModel):
     """
 
     name = "iid"
+    closed_form = True
 
     def __init__(self, marginal):
         self.innovations = marginal

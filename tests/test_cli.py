@@ -513,10 +513,20 @@ class TestInputErrors:
         [
             ({"n": 0}, "dims must be >= 1 componentwise, got (0, 0)"),
             ({"gamma_in": -1}, "gamma_in must lie in (0, 1), got -1"),
+            *(
+                (payload, f"n* = {n_star} is too large for gamma_in = {g!r}: theta's rounding margin {margin} spans all of (0, 1]")
+                for payload, n_star, g, margin in (
+                    ({"n": 30_000_000}, 9 * 10**14, math.exp(-1.0), "1.6"),
+                    ({"gamma_in": 0.99999999999}, 40_000, 0.99999999999, "7.11"),
+                    ({"n": 10**8}, 10**16, math.exp(-1.0), "17.8"),
+                )
+            ),
         ],
     )
     def test_extremal_index_bad_level_inputs(self, tmp_path, capsys, payload, message):
-        # n = 0 divided by zero and gamma_in < 0 made a complex power: both were tracebacks
+        # n = 0 divided by zero and gamma_in < 0 made a complex power: both were tracebacks.
+        # Past a rounding margin of 1 the level had moved: theta read 0.2998 at n = 3e7 and
+        # 0.4485 at gamma_in = 1 - 1e-11 (exit 2), and n = 1e8 gave "both gammas must lie in (0, 1)"
         cfg = write_cfg(tmp_path, payload)
         assert run(["extremal-index", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"

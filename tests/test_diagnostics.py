@@ -26,7 +26,7 @@ from phantomfields import (
 )
 from phantomfields import kernels, sampling
 from phantomfields.covariance import SeparableCovariance
-from phantomfields.diagnostics import _beta_over, _block_probabilities
+from phantomfields.diagnostics import _beta_over, _block_probabilities, beta_mode
 from phantomfields.lattice import curve_from_table
 
 
@@ -96,6 +96,22 @@ class TestBetaExact:
         model = IIDField(uniform())
         rep = beta_k_estimate(model, curve_diagonal(2), 0.7, T=1.0, n=4, k=3, mode="exact")
         assert rep.value <= 1e-12
+
+    def test_a_model_declares_its_own_closed_form(self, two_atom_model):
+        # outside the IIDField family: its closed_form alone makes beta exact
+        class Wrapped(sampling.FieldModel):
+            closed_form = True
+
+            def exact_block_max_cdf(self, dims, x):
+                return two_atom_model.exact_block_max_cdf(dims, x)
+
+            def exact_block_level(self, dims, gamma):
+                return two_atom_model.exact_block_level(dims, gamma)
+
+        assert not isinstance(Wrapped(), IIDField)
+        assert beta_mode(Wrapped(), "auto", 1) == "exact"
+        estimate = lambda model: beta_k_estimate(model, curve_diagonal(2), 0.5, T=1.0, n=4, mode="exact")
+        assert estimate(Wrapped()).value == estimate(two_atom_model).value > 0.0
 
     def test_empty_blocks_contribute_one(self, two_atom_model):
         # parts (0, 3) and (3, 0): sub-blocks (0, 3), (0, 0) and (3, 0) are empty, (3, 3) is the total

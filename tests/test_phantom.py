@@ -175,6 +175,10 @@ class TestGPsi:
         assert g.cdf(2.0) == 0.4 ** (1.0 / 4.0)
         assert g.cdf(5.0) == 0.4 ** (1.0 / 9.0)
         assert g.cdf(np.inf) == 1.0
+        # an array gives the scalar calls' values, an end included
+        xs = np.array([-np.inf, 0.5, 1.0, 1.7, 2.0, 5.0, np.inf])
+        for f in (lambda x: g.power(x, 4.0), lambda x: g.power_left(x, 4.0), g.cdf):
+            assert f(xs).tolist() == [f(x) for x in xs.tolist()]
 
     def test_self_consistency_exact(self):
         seq = self.make_levels([1.0, 2.0, 3.0, 4.5], [1, 4, 9, 16])
@@ -438,6 +442,17 @@ class TestExtremalIndex:
             for gamma_in in (1e-300, 1e-10, 0.05, E_INV, 0.5, 0.9, 0.999):
                 theta = np.array([estimate_extremal_index(mm, (k, k), gamma_in).theta for k in n.tolist()])
                 assert np.max(np.abs(theta / closed - 1.0)) <= 2.5e-6, ((a, b), gamma_in)
+
+    def test_rounding_margin_past_the_range_of_theta(self):
+        # the one-site level at gamma_in^(1/n*) rounds: at n = 3e7 theta read 0.2998
+        # against the closed form 0.25000002, at gamma_in = 1 - 1e-11 0.4485; at
+        # n = 2^32, n* wrapped to 0 in int64 and divided by zero
+        mm = MovingMaxField((2, 2), _UniformMarginal())
+        for n, gamma_in, n_star in ((30_000_000, E_INV, 9 * 10**14), (200, 0.99999999999, 40_000), (2**32, E_INV, 2**64)):
+            with pytest.raises(ValueError, match=rf"^n\* = {n_star} is too large for gamma_in = {gamma_in!r}: .* spans all of \(0, 1\]$"):
+                estimate_extremal_index(mm, (n, n), gamma_in)
+        # a margin of 0.71 still gives an estimate
+        assert 0.0 < estimate_extremal_index(mm, (20_000_000, 20_000_000), E_INV).theta <= 1.0
 
     def test_oracle_gamma_free(self):
         mm = MovingMaxField((2, 2), uniform())
