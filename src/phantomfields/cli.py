@@ -9,10 +9,12 @@ object (``model``, its ``innovations``, beta's ``curve``) names one of
 its kinds in ``KINDS`` and only that kind's fields, whose defaults are
 filled in, and ``_build`` makes it with that kind's builder. Other ranges
 (a feasible gamma pair, a window or a curve coordinate >= 1) are the
-library's to check. A command returns its header, rows and verdicts;
-``main`` writes them to results.csv and summary.json in the output
-directory and exits 0 on success, 2 when a scientific verdict fails, 1 on
-input errors, usage errors included.
+library's to check. A command computes and writes nothing: it returns its
+header, rows, verdicts and extra files (name -> text as an iterable of
+strings). ``main`` alone writes: results.csv, summary.json and those files
+into the output directory. It exits 0 on success, 2 when a scientific
+verdict fails, 1 on input errors, usage errors included. A command has
+``--seed`` and ``--reps`` only where its config has that field.
 Outputs embed the resolved config and library version; rows are
 formatted deterministically so reruns with the same seed are
 byte-identical.
@@ -22,10 +24,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -93,25 +97,26 @@ def _type_error(value, default) -> str | None:
     """Why ``value`` cannot replace ``default``, or None if it can.
 
     A value keeps the JSON type of its default (an integer may stand for a
-    float). A number is finite: Python's json reads NaN and Infinity, and
-    an integer past the float range overflows. Integers, alone or in a
-    list, are counts or seeds, so >= 0, and a list of them is a grid or a
-    shape, so nonempty. A list of such lists is a table, whose rows are
+    float). A number, an integer too, is finite: Python's json reads NaN and
+    Infinity, and an integer past the float range overflows. Integers, alone
+    or in a list, are counts or seeds, so >= 0, and a list of them is a grid
+    or a shape, so nonempty. A list of such lists is a table, whose rows are
     all of one length.
     """
-    count = lambda v: type(v) is int and v >= 0
+    # the bound is a Python float: an np.float64 would convert the int, and overflow
+    count = lambda v: type(v) is int and 0 <= v <= sys.float_info.max
     if type(default) is int:
-        ok, kind = count(value), "a nonnegative integer"
+        ok, kind = count(value), "a nonnegative integer in the float range"
     elif type(default) is float:
         number = type(value) in (int, float)
         ok, kind = number and abs(value) <= sys.float_info.max, "a finite number" if number else "a number"
     elif type(default) is list and type(default[0]) is int:
         ok = type(value) is list and len(value) > 0 and all(map(count, value))
-        kind = "a nonempty list of nonnegative integers"
+        kind = "a nonempty list of nonnegative integers in the float range"
     elif type(default) is list:  # a table: rows typed like default[0]
         ok = type(value) is list and len(value) > 0 and not any(_type_error(row, default[0]) for row in value)
         ok = ok and len(set(map(len, value))) == 1
-        kind = "a nonempty list of equal-length nonempty lists of nonnegative integers"
+        kind = "a nonempty list of equal-length nonempty lists of nonnegative integers in the float range"
     else:
         kinds = {bool: "true or false", str: "a string", dict: "an object"}
         ok, kind = type(value) is type(default), kinds[type(default)]
@@ -176,8 +181,6 @@ def _load_config(path: str | None, defaults: dict, args) -> dict:
     for flag in ("seed", "reps"):
         val = getattr(args, flag, None)
         if val is not None:
-            if flag not in defaults:
-                raise ConfigError(f"flag --{flag} is not used by this command")
             why = _type_error(val, defaults[flag])
             if why:
                 raise ConfigError(f"flag --{flag} {why}, got {val}")
@@ -202,37 +205,21 @@ def _check_out(out: str) -> None:
             return
 
 
-def _out_dir(out: str) -> Path:
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _json(obj) -> list[str]:
+    """A JSON file's text: ``obj`` indented, its keys sorted, and a final newline."""
+    return [json.dumps(obj, indent=2, sort_keys=True) + "\n"]
 
 
-def _write_outputs(out_dir: str, command: str, cfg: dict, header, rows, verdicts: dict) -> None:
-    out = _out_dir(out_dir)
-    with open(out / "results.csv", "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(x) for x in row])
-    summary = {
-        "command": command,
-        "version": __version__,
-        "config": cfg,
-        "verdicts": verdicts,
-        "all_passed": all(verdicts.values()),
-    }
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_field(out_dir: str, values, seed) -> None:
-    """field.csv: a comment with the dims and seed, then one row of values per index of axis 0."""
-    with open(_out_dir(out_dir) / "field.csv", "w", newline="") as fh:
-        fh.write(f"# dims={','.join(map(str, values.shape))} seed={seed}\n")
-        for row in values.reshape(values.shape[0], -1):
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+def _write_outputs(out: str, command: str, cfg: dict, header, rows, verdicts: dict, files: dict) -> None:
+    """results.csv, summary.json and a command's ``files``, each written from its iterable of strings."""
+    # csv.writer returns what its file's write returns: here each formatted line
+    line = csv.writer(SimpleNamespace(write=lambda s: s), lineterminator="\n").writerow
+    summary = dict(command=command, version=__version__, config=cfg, verdicts=verdicts, all_passed=all(verdicts.values()))
+    results = [line(header), *(line(map(_fmt, row)) for row in rows)]
+    Path(out).mkdir(parents=True, exist_ok=True)
+    for name, text in {"results.csv": results, "summary.json": _json(summary), **files}.items():
+        with open(Path(out) / name, "w", newline="") as fh:
+            fh.writelines(text)
 
 
 def _example_covariance(cfg: dict):
@@ -247,7 +234,7 @@ def _build(key: str, obj: dict):
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns (header, rows, verdicts)
+# subcommands: each returns (header, rows, verdicts, files)
 # ---------------------------------------------------------------------------
 
 SECTORIAL_DEFAULTS = {
@@ -275,7 +262,7 @@ def _sectorial_table(cfg: dict) -> list:
     return [(n, u, m, b, diagnostics.bound_vs_maxima(b.total, m, n, u)) for n, u, m, b in zip(ns, us, maxes, bounds)]
 
 
-def cmd_sectorial_test(cfg: dict, out: str):
+def cmd_sectorial_test(cfg: dict):
     """Distance of the example field along the diagonal from powered Phi,
     with the comparison-bound domination check folded into the same rows."""
     phi = phantom.normal_candidate()
@@ -294,7 +281,7 @@ def cmd_sectorial_test(cfg: dict, out: str):
         "berman_bound_dominates": all(bool(row[-1]) for row in rows),
     }
     header = ["n", "psi1", "psi2", "distance", "se", "argmax_x", "u", "p_hat", "target", "gap", "berman_bound", "berman_ok"]
-    return header, rows, verdicts
+    return header, rows, verdicts, {}
 
 
 DIRECTIONAL_DEFAULTS = {
@@ -306,7 +293,7 @@ DIRECTIONAL_DEFAULTS = {
 }
 
 
-def cmd_directional_test(cfg: dict, out: str):
+def cmd_directional_test(cfg: dict):
     """Quadrature law of the equicorrelated comparison maxima along the
     log-split curve versus the non-Gumbel limit and the Gumbel law."""
     g = _example_covariance(cfg).gammas
@@ -331,7 +318,7 @@ def cmd_directional_test(cfg: dict, out: str):
     }
     rows.append(("limit", "", "", "", "", h, 0.0))
     rows.append(("gumbel", "", "", "", "", h0, sep))
-    return ["N", "rho", "a_N", "b_N", "w", "value", "gap"], rows, verdicts
+    return ["N", "rho", "a_N", "b_N", "w", "value", "gap"], rows, verdicts, {}
 
 
 EXTREMAL_DEFAULTS = {
@@ -343,12 +330,12 @@ EXTREMAL_DEFAULTS = {
 }
 
 
-def cmd_extremal_index(cfg: dict, out: str):
+def cmd_extremal_index(cfg: dict):
     model = _build("model", cfg["model"])
     est = phantom.estimate_extremal_index(model, (cfg["n"], cfg["n"]), cfg["gamma_in"])
     ok = cfg["expected_theta"] is None or abs(est.theta - cfg["expected_theta"]) <= cfg["tol"]
     rows = [(cfg["n"], est.theta, est.gamma_or, est.gamma_in, est.level)]
-    return ["n", "theta", "gamma_or", "gamma_in", "level"], rows, {"theta_within_tol": bool(ok)}
+    return ["n", "theta", "gamma_or", "gamma_in", "level"], rows, {"theta_within_tol": bool(ok)}, {}
 
 
 BETA_DEFAULTS = {
@@ -366,7 +353,7 @@ BETA_DEFAULTS = {
 }
 
 
-def cmd_beta(cfg: dict, out: str):
+def cmd_beta(cfg: dict):
     # checked even when a fixed level leaves it unread, so summary.json never records a bad gamma
     if not 0.0 < cfg["gamma"] < 1.0:
         raise ConfigError(f"config field 'gamma' must lie in (0, 1), got {json.dumps(cfg['gamma'])}")
@@ -396,21 +383,17 @@ def cmd_beta(cfg: dict, out: str):
     verdicts = {}
     if k > 2:
         verdicts["growth_inequality"] = bool(rep.value <= k ** curve.d * estimate(2).value + 1e-12)
-    report = rep.to_json()
-    report["verdicts"] = verdicts
-    with open(_out_dir(out) / "beta.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
     rows = [(n, k, rep.value, rep.mode, rep.grid_size, rep.level, rep.se if rep.se is not None else "")]
-    return ["n", "k", "beta", "mode", "grid", "level", "se"], rows, verdicts
+    files = {"beta.json": _json({**rep.to_json(), "verdicts": verdicts})}
+    return ["n", "k", "beta", "mode", "grid", "level", "se"], rows, verdicts, files
 
 
-def cmd_berman(cfg: dict, out: str):
+def cmd_berman(cfg: dict):
     """sectorial-test's Berman columns, with the bound's split and the gap's standard error."""
     table = _sectorial_table(cfg)
     rows = [(n, u, b.total, b.sigma1, b.sigma2, b.alpha, g.gap, g.se, g.verdict) for n, u, _, b, g in table]
     verdicts = {"bound_dominates": all(bool(row[-1]) for row in rows)}
-    return ["n", "u", "bound", "sigma1", "sigma2", "alpha", "gap", "se", "verdict"], rows, verdicts
+    return ["n", "u", "bound", "sigma1", "sigma2", "alpha", "gap", "se", "verdict"], rows, verdicts, {}
 
 
 SIMULATE_DEFAULTS = {
@@ -420,13 +403,15 @@ SIMULATE_DEFAULTS = {
 }
 
 
-def cmd_simulate(cfg: dict, out: str):
+def cmd_simulate(cfg: dict):
     model = _build("model", cfg["model"])
     values = model.sample_values(cfg["dims"], np.random.default_rng(cfg["seed"]))
-    _write_field(out, values, cfg["seed"])
-    dims = "x".join(map(str, values.shape))
-    row = (dims, cfg["seed"], float(values.min()), float(values.max()), float(values.mean()))
-    return ["dims", "seed", "min", "max", "mean"], [row], {}
+    # field.csv: a comment with the dims and seed, then one row of values per index of axis 0,
+    # each formatted only as it is written, so the text is never held whole
+    lines = (",".join(repr(float(x)) for x in row) + "\n" for row in values.reshape(values.shape[0], -1))
+    field = itertools.chain([f"# dims={','.join(map(str, values.shape))} seed={cfg['seed']}\n"], lines)
+    row = ("x".join(map(str, values.shape)), cfg["seed"], float(values.min()), float(values.max()), float(values.mean()))
+    return ["dims", "seed", "min", "max", "mean"], [row], {}, {"field.csv": field}
 
 
 COMMANDS = {
@@ -449,11 +434,12 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="phantomfields", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, defaults) in COMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None, help="JSON config file")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--reps", type=int, default=None)
+        for flag in ("seed", "reps"):
+            if flag in defaults:  # a flag exists only where its field does
+                sp.add_argument(f"--{flag}", type=int, default=None)
         sp.add_argument("--out", default="out", help="output directory")
     return p
 
@@ -464,8 +450,8 @@ def main(argv=None) -> int:
         fn, defaults = COMMANDS[args.command]
         cfg = _load_config(args.config, defaults, args)
         _check_out(args.out)
-        header, rows, verdicts = fn(cfg, args.out)
-        _write_outputs(args.out, args.command, cfg, header, rows, verdicts)
+        header, rows, verdicts, files = fn(cfg)
+        _write_outputs(args.out, args.command, cfg, header, rows, verdicts, files)
     # a MemoryError is a request too large to allocate, such as beta's split grid at a large k
     except (ConfigError, ValueError, FactorizationError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)

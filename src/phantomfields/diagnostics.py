@@ -294,10 +294,9 @@ def berman_bound(c: SeparableCovariance, n: int, u: float, method: str = "direct
         r = np.outer(ax1, ax2)
         terms = r * np.exp(-u * u / (1.0 + r))
         terms[0, 0] = 0.0
-        in_a = np.zeros_like(terms, dtype=bool)
-        in_a[a_lo:, a_lo:] = True
-        s1 = float(terms[in_a].sum())
-        s2 = float(terms[~in_a].sum())
+        # Sigma2's cells in row-major order, which fixes its float sum: the rows above a_lo, then the columns left of it
+        s1 = float(terms[a_lo:, a_lo:].ravel().sum())
+        s2 = float(np.concatenate([terms[:a_lo].ravel(), terms[a_lo:, :a_lo].ravel()]).sum())
     elif method == "factored":
         # row-by-row from the axis factorization r_ij = ax1(i) * ax2(j)
         s1 = s2 = 0.0

@@ -438,7 +438,8 @@ def estimate_extremal_index(model, dims, gamma_in: float = math.exp(-1.0)) -> In
     # of all n. |d| is a few eps, but the normal's lower tail magnifies F^-1's error by
     # v^2 ~ 2 |ln gamma_in| / n*, adding a few eps to theta. The largest excess measured
     # (built-in marginals, gamma_in >= 1e-300, n <= 3000) is 0.50 of the margin, at n = 1.
-    slack = 8.0 * np.finfo(np.float64).eps * (n_star / abs(math.log(gamma_in)) + 1.0)
+    # (n* in floats, so a product past the float range is an infinite margin, not an OverflowError)
+    slack = 8.0 * np.finfo(np.float64).eps * (math.prod(map(float, dims)) / abs(math.log(gamma_in)) + 1.0)
     if slack >= 1.0:
         raise ValueError(f"n* = {n_star} is too large for gamma_in = {gamma_in!r}: theta's rounding margin {slack:.3g} spans all of (0, 1]")
     v = model.exact_block_level((1,) * len(dims), gamma_in ** (1.0 / n_star))

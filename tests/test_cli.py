@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -241,6 +242,18 @@ class TestOthers:
         lines = (tmp_path / "o" / "field.csv").read_text().splitlines()
         assert lines[0] == "# dims=4,6 seed=1"
         assert len(lines) == 5
+
+    def test_simulate_streams_field_csv(self, tmp_path):
+        # field.csv is written a row at a time: the traced peak of this run read 8.8 MiB,
+        # and 45.1 MiB with the file's text built as one string first
+        cfg = write_cfg(tmp_path, {"model": {"kind": "iid"}, "dims": [1000, 1000]})
+        tracemalloc.start()
+        try:
+            assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 1000 * 1000 * 8  # the field's 7.6 MiB of float64
 
     def test_simulate_other_models(self, tmp_path):
         cfg = write_cfg(
@@ -521,12 +534,18 @@ class TestInputErrors:
                     ({"n": 10**8}, 10**16, math.exp(-1.0), "17.8"),
                 )
             ),
+            pytest.param(
+                {"n": 10**180},
+                f"n* = {10**360} is too large for gamma_in = {math.exp(-1.0)!r}: theta's rounding margin inf spans all of (0, 1]",
+                id="n-1e180",
+            ),
         ],
     )
     def test_extremal_index_bad_level_inputs(self, tmp_path, capsys, payload, message):
         # n = 0 divided by zero and gamma_in < 0 made a complex power: both were tracebacks.
         # Past a rounding margin of 1 the level had moved: theta read 0.2998 at n = 3e7 and
-        # 0.4485 at gamma_in = 1 - 1e-11 (exit 2), and n = 1e8 gave "both gammas must lie in (0, 1)"
+        # 0.4485 at gamma_in = 1 - 1e-11 (exit 2), and n = 1e8 gave "both gammas must lie in (0, 1)".
+        # At n = 1e180, n* = 1e360 ended in an OverflowError traceback from the margin
         cfg = write_cfg(tmp_path, payload)
         assert run(["extremal-index", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -573,10 +592,17 @@ class TestInputErrors:
                 {"model": {"kind": "gaussian_separable", "gamma1": math.nan}},
                 "model field 'gamma1' must be a finite number, got NaN",
             ),
+            pytest.param(
+                "directional-test",
+                {"N_grid": [10**400]},
+                f"config field 'N_grid' must be a nonempty list of nonnegative integers in the float range, got [{10 ** 400}]",
+                id="directional-test-N_grid-1e400",
+            ),
         ],
     )
     def test_non_finite_number(self, tmp_path, capsys, command, payload, message):
-        # beta at level NaN reported beta 0.0 and directional-test gave verdicts at x = Infinity
+        # beta at level NaN reported beta 0.0 and directional-test gave verdicts at x = Infinity;
+        # N_grid [1e400] ended in an OverflowError traceback from N * log Phi
         cfg = write_cfg(tmp_path, payload)
         assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -636,6 +662,20 @@ class TestInputErrors:
         assert err.startswith("error: unrecognized arguments: --workers 2")
         assert err.count("\n") == 1
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_each_command_has_exactly_its_flags(self, tmp_path, capsys, command):
+        # --seed and --reps exist where the config has the field; directional-test --help listed
+        # both, and a stray one exited 1 only through a check of its own
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        usage = capsys.readouterr().out
+        for flag, value in (("seed", "7"), ("reps", "5")):
+            assert (f"--{flag} {flag.upper()}" in usage) == (flag in COMMANDS[command][1])
+            if flag not in COMMANDS[command][1]:
+                assert run([command, f"--{flag}", value, "--out", str(tmp_path / "o")]) == 1
+                assert capsys.readouterr().err == f"error: unrecognized arguments: --{flag} {value}\n"
+                assert not (tmp_path / "o").exists()
 
     def test_version_embedded(self, tmp_path):
         run(["extremal-index", "--out", str(tmp_path / "o")])
